@@ -118,6 +118,8 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
     lookup_us += dlsim::to_micros(st.lookup_time_total);
     r.cache_hits += inst.cache().hits();
     r.cache_misses += inst.cache().misses();
+    r.cache_declined_inserts += st.cache_declined_inserts;
+    r.cache_evictions += st.cache_evictions;
     r.bytes_copied += st.bytes_copied;
     r.bytes_zero_copy += st.bytes_zero_copy;
     r.view_pins_active += st.view_pins_active;
@@ -445,6 +447,8 @@ std::string JsonReport::write() const {
         << ", \"lookup_us_avg\": " << r.lookup_us_avg
         << ", \"cache_hits\": " << r.cache_hits
         << ", \"cache_misses\": " << r.cache_misses
+        << ", \"cache_declined_inserts\": " << r.cache_declined_inserts
+        << ", \"cache_evictions\": " << r.cache_evictions
         << ", \"bytes_copied\": " << r.bytes_copied
         << ", \"bytes_zero_copy\": " << r.bytes_zero_copy
         << ", \"view_pins_active\": " << r.view_pins_active

@@ -67,6 +67,10 @@ struct RunResult {
   // high-water mark and target are maxima).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  // Retention: inserts declined by a full cache and entries evicted (pool
+  // pressure plus explicit evict), summed over clients.
+  std::uint64_t cache_declined_inserts = 0;
+  std::uint64_t cache_evictions = 0;
   // Delivery-path byte split (DLFS only): memcpy'd bytes vs bytes handed
   // out as zero-copy views, plus units still pinned at epoch end and
   // copy jobs that ran on a core other than their producer's.

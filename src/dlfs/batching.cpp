@@ -8,6 +8,19 @@
 
 namespace dlfs::core {
 
+namespace {
+
+// An epoch's global unit order: the same on every client for one seed
+// (the dlfs_sequence contract), so EpochSequence and sample_positions
+// agree with zero communication.
+std::vector<std::uint64_t> unit_shuffle(const BatchPlan& plan,
+                                        std::uint64_t seed) {
+  Rng rng(seed);
+  return rng.permutation(plan.units().size());
+}
+
+}  // namespace
+
 BatchPlan::BatchPlan(const std::vector<SampleLocation>& layout,
                      std::uint64_t chunk_bytes, BatchingMode mode)
     : mode_(mode), num_samples_(layout.size()) {
@@ -90,15 +103,25 @@ EpochSequence::EpochSequence(const BatchPlan& plan, std::uint64_t seed,
   if (num_clients == 0 || client_idx >= num_clients) {
     throw std::invalid_argument("bad client index");
   }
-  // Identical shuffle on every client (same seed, same deterministic RNG).
-  Rng rng(seed);
-  auto perm = rng.permutation(plan.units().size());
+  const auto perm = unit_shuffle(plan, seed);
   order_.reserve(perm.size() / num_clients + 1);
   for (std::size_t i = client_idx; i < perm.size(); i += num_clients) {
     const ReadUnit* u = &plan.units()[perm[i]];
     order_.push_back(u);
     total_samples_ += u->samples.size();
   }
+}
+
+std::vector<std::uint32_t> sample_positions(const BatchPlan& plan,
+                                            std::uint64_t seed) {
+  const auto perm = unit_shuffle(plan, seed);
+  std::vector<std::uint32_t> pos(plan.num_samples());
+  for (std::size_t rank = 0; rank < perm.size(); ++rank) {
+    for (const UnitSample& us : plan.units()[perm[rank]].samples) {
+      pos[us.sample_id] = static_cast<std::uint32_t>(rank);
+    }
+  }
+  return pos;
 }
 
 std::vector<EpochSequence::UnitPicks> EpochSequence::take(std::size_t n) {

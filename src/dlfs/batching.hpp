@@ -153,6 +153,13 @@ class EpochSequence {
   std::uint32_t cur_sample_ = 0;
 };
 
+/// Every sample's position in an epoch's global order — the rank of its
+/// unit in the shuffle EpochSequence derives from the same seed. Every
+/// client computes it with zero communication; since each sample is read
+/// exactly once per epoch fleet-wide, it says when a sample is next used.
+[[nodiscard]] std::vector<std::uint32_t> sample_positions(
+    const BatchPlan& plan, std::uint64_t seed);
+
 /// ReadUnitProvider over an EpochSequence. Chunk mode maps 1:1 (group =
 /// 1, every epoch slot is one chunk/edge unit, keyed by the slot);
 /// sample-level and unbatched modes fuse `group` consecutive epoch slots

@@ -279,16 +279,17 @@ dlsim::Task<void> DlfsFleet::mount_participant(std::uint32_t p) {
         seg_start += seg_fill;
         seg_fill = 0;
       };
-      auto emit = [&](std::span<const std::byte> bytes) -> dlsim::Task<void> {
-        std::size_t done = 0;
-        while (done < bytes.size()) {
-          if (seg_fill == kSegment) co_await flush();
-          const std::uint64_t ncopy = std::min<std::uint64_t>(
-              bytes.size() - done, kSegment - seg_fill);
-          std::memcpy(staging.data() + seg_fill, bytes.data() + done, ncopy);
-          seg_fill += ncopy;
-          done += ncopy;
-        }
+      // Staging is a plain synchronous copy: only a full segment's flush
+      // may suspend. (A per-sample co_await that completes inline nests
+      // one frame per sample in builds without guaranteed tail calls,
+      // such as sanitizer builds, and overflows the stack on large
+      // shards.)
+      auto stage = [&](std::span<const std::byte> bytes) {
+        const std::uint64_t ncopy =
+            std::min<std::uint64_t>(bytes.size(), kSegment - seg_fill);
+        std::memcpy(staging.data() + seg_fill, bytes.data(), ncopy);
+        seg_fill += ncopy;
+        return bytes.subspan(ncopy);
       };
       std::vector<std::byte> scratch;
       for (auto id : ids) {
@@ -300,17 +301,23 @@ dlsim::Task<void> DlfsFleet::mount_participant(std::uint32_t p) {
           std::array<std::byte, 8> header;
           dataset::write_record_header(header, loc.len,
                                        dataset::crc32(scratch));
-          co_await emit(header);
+          for (auto rest = stage(header); !rest.empty(); rest = stage(rest)) {
+            co_await flush();
+          }
         }
-        co_await emit(scratch);
+        for (auto rest = stage(scratch); !rest.empty(); rest = stage(rest)) {
+          co_await flush();
+        }
       }
       // Replica region: the rows were assigned contiguous offsets right
       // after the primary region in this exact order, so the sequential
-      // emit stream lands each copy at its planned offset.
+      // staging stream lands each copy at its planned offset.
       for (const auto& row : replicas) {
         scratch.resize(layout_[row.sample_id].len);
         dataset_->fill_content(row.sample_id, 0, scratch);
-        co_await emit(scratch);
+        for (auto rest = stage(scratch); !rest.empty(); rest = stage(rest)) {
+          co_await flush();
+        }
       }
       co_await flush();
       while (qp->outstanding() > 0) {
@@ -1412,6 +1419,18 @@ void DlfsInstance::sequence(std::uint64_t seed) {
     }
   }
   seq_.emplace(*fleet_->plan_, seed, client_idx_, fleet_->num_clients());
+  // Retention follows the order in which this cache's entries are read:
+  // with the peer cache on, any client may read them; without it only
+  // this client's strided share (global rank % k == client) does, so the
+  // rest are not due here this epoch.
+  std::vector<std::uint32_t> order = sample_positions(*fleet_->plan_, seed);
+  if (!fleet_->config_.peer_cache.enabled) {
+    const std::uint32_t k = fleet_->num_clients();
+    for (std::uint32_t& pos : order) {
+      if (pos % k != client_idx_) pos = SampleCache::kNotDue;
+    }
+  }
+  cache_->install_order(order);
   fetched_.clear();
   acq_units_.clear();
   file_seq_active_ = false;

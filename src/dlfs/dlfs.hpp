@@ -113,7 +113,7 @@ struct DlfsConfig {
   std::uint32_t queue_depth = 128;         // SPDK I/O qpair depth
   std::uint32_t copy_threads = 2;          // SCQ copy-thread pool size
   BatchingMode batching = BatchingMode::kChunkLevel;
-  std::size_t cache_chunks = 64;           // sample-cache LRU budget
+  std::size_t cache_chunks = 64;           // sample-cache budget (chunks)
   // Asynchronous epoch-aware prefetcher (every batching mode and the
   // record-file path): a per-instance daemon walks the read-unit order
   // ahead of the consumer and keeps an adaptive window of units in
@@ -231,6 +231,11 @@ struct InstanceStats {
   std::uint64_t samples_skipped = 0;
   std::uint64_t bytes_delivered = 0;
   dlsim::SimDuration lookup_time_total = 0;
+  // Sample-cache retention: inserts a full cache declined (keeping its
+  // resident entries) and entries evicted under pool pressure or by an
+  // explicit evict. A steady warm epoch shows evictions near 0.
+  std::uint64_t cache_declined_inserts = 0;
+  std::uint64_t cache_evictions = 0;
   // Delivery-path byte accounting: bytes that went through a memcpy
   // (copy threads + inline copies) vs bytes handed out as zero-copy
   // views into the huge-page chunks. A warm bread_views epoch shows
@@ -357,6 +362,8 @@ class DlfsInstance {
     s.samples_skipped = samples_skipped_;
     s.bytes_delivered = bytes_delivered_;
     s.lookup_time_total = lookup_time_total_;
+    s.cache_declined_inserts = cache_->declined_inserts();
+    s.cache_evictions = cache_->evictions();
     s.bytes_copied = engine_->bytes_copied();
     s.bytes_zero_copy = bytes_zero_copy_;
     for (const auto& [slot, fu] : fetched_) s.view_pins_active += fu.view_pins;

@@ -457,7 +457,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
           continue;
         }
         if (pool_->free_chunks() == 0 && !to_post_.front().buffer.valid()) {
-          bool freed = cache_->evict_lru_one();
+          bool freed = cache_->evict_one();
           if (!freed && pressure_reliever_) freed = pressure_reliever_();
           if (!freed) {
             if (in_flight_.empty() && scq_->empty() && copies_pending_ == 0 &&

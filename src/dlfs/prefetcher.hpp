@@ -33,11 +33,11 @@
 //   * it shrinks when the huge-page pool cannot hold more read-ahead
 //     (top_up blocked with less than `reserve_chunks` headroom), when the
 //     engine invokes the pressure reliever — pool exhausted and
-//     SampleCache::evict_lru_one() found nothing to yield — in which case
-//     the farthest resident, unconsumed unit is dropped and its chunks
-//     returned, and when a shared PrefetchArbiter caps this instance's
-//     read-ahead below what it wanted (co-located daemons competing for
-//     one node's huge pages).
+//     SampleCache::evict_one() found no unpinned entry to yield — in
+//     which case the farthest resident, unconsumed unit is dropped and
+//     its chunks returned, and when a shared PrefetchArbiter caps this
+//     instance's read-ahead below what it wanted (co-located daemons
+//     competing for one node's huge pages).
 //
 // Failure model: a prefetched extent's IoError is stored on its ExtentOp
 // and handed back *per extent* by acquire() — the daemon never dies on a

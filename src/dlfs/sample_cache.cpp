@@ -27,16 +27,12 @@ std::size_t SampleCache::resident_chunks() const {
 std::vector<std::span<const std::byte>> SampleCache::pin(
     std::size_t sample_id) {
   Shard& sh = shard_of(sample_id);
-  dlsim::AccessSlice slice{sh.ledger, /*write=*/true};  // LRU refresh mutates
+  dlsim::AccessSlice slice{sh.ledger, /*write=*/true};  // pins/next_use
   auto it = sh.map.find(sample_id);
   if (it == sh.map.end()) return {};
   Entry& e = it->second;
   ++e.pins;
-  // Refresh recency: shard-list position plus the global stamp.
-  sh.lru.erase(e.lru_pos);
-  sh.lru.push_front(sample_id);
-  e.lru_pos = sh.lru.begin();
-  e.last_use = ++tick_;
+  e.next_use = kNotDue;  // delivered: not needed again this epoch
   std::vector<std::span<const std::byte>> out;
   out.reserve(e.pieces.size());
   for (std::size_t i = 0; i < e.pieces.size(); ++i) {
@@ -67,19 +63,37 @@ void SampleCache::insert(std::size_t sample_id,
   }
   if (sh.map.contains(sample_id)) return;  // already resident (racing reads)
   const std::size_t need = pieces.size();
-  if (need > capacity_) return;  // can never fit; don't retain
-  evict_until_fits(need);
-  if (resident_chunks() + need > capacity_) return;  // everything pinned
+  if (resident_chunks() + need > capacity_) {
+    ++declined_;  // just read, so worth no more than any resident entry
+    return;
+  }
   Entry e;
   e.pieces = std::move(pieces);
   e.piece_lens = std::move(piece_lens);
-  sh.lru.push_front(sample_id);
-  e.lru_pos = sh.lru.begin();
-  e.last_use = ++tick_;
   sh.chunks_used += need;
   sh.map.emplace(sample_id, std::move(e));
   valid_bits_[sample_id] = 1;
   if (residency_listener_) residency_listener_(sample_id, true);
+}
+
+void SampleCache::install_order(std::span<const std::uint32_t> position) {
+  if (position.size() != valid_bits_.size()) {
+    throw std::invalid_argument("epoch order does not cover the dataset");
+  }
+  for (Shard& sh : shards_) {
+    dlsim::AccessSlice slice{sh.ledger, /*write=*/true};
+    for (auto& [id, e] : sh.map) e.next_use = position[id];
+  }
+}
+
+void SampleCache::erase_entry(
+    Shard& sh, std::unordered_map<std::size_t, Entry>::iterator it) {
+  const std::size_t sample_id = it->first;
+  sh.chunks_used -= it->second.pieces.size();
+  valid_bits_[sample_id] = 0;
+  sh.map.erase(it);
+  ++evictions_;
+  if (residency_listener_) residency_listener_(sample_id, false);
 }
 
 void SampleCache::evict(std::size_t sample_id) {
@@ -87,63 +101,32 @@ void SampleCache::evict(std::size_t sample_id) {
   dlsim::AccessSlice slice{sh.ledger, /*write=*/true};
   auto it = sh.map.find(sample_id);
   if (it == sh.map.end() || it->second.pins > 0) return;
-  sh.chunks_used -= it->second.pieces.size();
-  sh.lru.erase(it->second.lru_pos);
-  valid_bits_[sample_id] = 0;
-  sh.map.erase(it);
-  if (residency_listener_) residency_listener_(sample_id, false);
+  erase_entry(sh, it);
 }
 
-SampleCache::Victim SampleCache::find_global_lru_victim() const {
-  // Within one shard the list is recency-ordered, so the first unpinned
-  // entry from the back is that shard's oldest unpinned candidate; the
-  // globally oldest is the stamp-minimum across the shard candidates.
-  Victim v;
-  std::uint64_t oldest = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const Shard& sh = shards_[s];
+bool SampleCache::evict_one() {
+  // The unpinned entry with the largest next_use. kNotDue sorts after
+  // every position, so the first entry not due ends the scan.
+  Shard* victim_shard = nullptr;
+  std::size_t victim = 0;
+  std::uint32_t best = 0;
+  for (Shard& sh : shards_) {
     dlsim::AccessSlice slice{sh.ledger, /*write=*/false};
-    for (auto it = sh.lru.rbegin(); it != sh.lru.rend(); ++it) {
-      const Entry& e = sh.map.at(*it);
-      if (e.pins > 0) continue;
-      if (!v.found || e.last_use < oldest) {
-        v.found = true;
-        v.shard = s;
-        v.sample_id = *it;
-        oldest = e.last_use;
+    for (const auto& [id, e] : sh.map) {
+      if (e.pins > 0 || (victim_shard != nullptr && e.next_use <= best)) {
+        continue;
       }
-      break;
+      victim_shard = &sh;
+      victim = id;
+      best = e.next_use;
+      if (best == kNotDue) break;
     }
+    if (best == kNotDue) break;
   }
-  return v;
-}
-
-void SampleCache::evict_from_shard(std::size_t shard_idx,
-                                   std::size_t sample_id) {
-  Shard& sh = shards_[shard_idx];
-  dlsim::AccessSlice slice{sh.ledger, /*write=*/true};
-  auto it = sh.map.find(sample_id);
-  assert(it != sh.map.end() && it->second.pins == 0);
-  sh.chunks_used -= it->second.pieces.size();
-  sh.lru.erase(it->second.lru_pos);
-  valid_bits_[sample_id] = 0;
-  sh.map.erase(it);
-  if (residency_listener_) residency_listener_(sample_id, false);
-}
-
-bool SampleCache::evict_lru_one() {
-  const Victim v = find_global_lru_victim();
-  if (!v.found) return false;
-  evict_from_shard(v.shard, v.sample_id);
+  if (victim_shard == nullptr) return false;
+  dlsim::AccessSlice slice{victim_shard->ledger, /*write=*/true};
+  erase_entry(*victim_shard, victim_shard->map.find(victim));
   return true;
-}
-
-void SampleCache::evict_until_fits(std::size_t incoming_chunks) {
-  while (resident_chunks() + incoming_chunks > capacity_) {
-    const Victim v = find_global_lru_victim();
-    if (!v.found) return;  // everything pinned
-    evict_from_shard(v.shard, v.sample_id);
-  }
 }
 
 // --- PeerCacheIndex ---------------------------------------------------------

@@ -7,26 +7,44 @@
 // local/remote NVMe devices ... the cache is divided into many fixed-size
 // chunks (256 KB by default)."
 //
-// Completed sample reads are retained in an LRU keyed by sample id; the
-// V bit of a sample is on exactly while a copy is resident here, so a
-// dlfs_read can serve a hit with a memcpy and no device I/O. Entries
-// pinned by an in-flight copy are never evicted. Capacity is counted in
+// Completed sample reads are retained keyed by sample id; the V bit of a
+// sample is on exactly while a copy is resident here, so a dlfs_read can
+// serve a hit with a memcpy and no device I/O. Capacity is counted in
 // pool chunks, mirroring how the real cache is carved.
 //
-// The index is sharded by sample id: each shard owns its own hash map,
-// recency list and access ledger, so the hot-path operations (valid/pin/
-// unpin/insert) form per-shard critical slices instead of funnelling
-// every reader and the read-ahead inserter through one cache-wide slice.
-// Recency and capacity stay *global*: entries carry a monotonically
-// increasing last-use stamp, eviction always removes the globally
-// least-recently-used unpinned entry (comparing the shard LRU tails by
-// stamp), and the chunk budget is enforced across all shards — so the
-// observable hit/miss/eviction behaviour is identical to a single-list
-// LRU of the same capacity.
+// Retention follows the epoch schedule, not recency. Every client
+// derives the same global shuffle from the shared seed, and each sample
+// is read exactly once per epoch across the fleet, so the installed order
+// says when every resident entry is next used. A sample being inserted
+// has just been read: its next use is at a uniformly random point of a
+// later, independently reshuffled epoch, which makes it worth no more
+// than any entry already resident (each of those is due this epoch or,
+// if already read, equally random next epoch). Displacing a resident
+// entry for it can therefore never raise the expected hit count and
+// costs a retract/advertise pair plus chunk churn — so a full cache
+// *declines* the insert and keeps its entries. A fleet of full caches
+// then serves exactly its resident set every epoch, the most any policy
+// can without knowing future epochs' orders.
+//
+// Entries leave only when the huge-page pool runs dry (evict_one()) or
+// on an explicit evict(). The pressure victim is chosen by next use: an
+// unpinned entry not due this epoch first (already read, or in another
+// client's share with no peer cache to serve it from here), otherwise
+// the unpinned entry farthest ahead in the installed order. With no
+// order installed nothing is known to be due and any unpinned entry may
+// go. Entries pinned by an in-flight copy or peer serve are never
+// evicted.
+//
+// The index is sharded by sample id: each shard owns its own hash map and
+// access ledger, so the hot-path operations (valid/pin/unpin/insert) form
+// per-shard critical slices instead of funnelling every reader and the
+// read-ahead inserter through one cache-wide slice. The chunk budget and
+// the victim choice stay global across all shards.
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <list>
 #include <span>
 #include <unordered_map>
@@ -82,28 +100,43 @@ class SampleCache {
   }
 
   /// A resident sample's bytes, as the list of chunk-piece spans it
-  /// occupies (in order). Also refreshes LRU recency and pins the entry
-  /// until unpin(). Returns empty if not resident.
+  /// occupies (in order). Pins the entry until unpin() and marks it read
+  /// this epoch (a pin is a delivery: a local hit or a peer serve).
+  /// Returns empty if not resident.
   [[nodiscard]] std::vector<std::span<const std::byte>> pin(
       std::size_t sample_id);
   void unpin(std::size_t sample_id);
 
   /// Inserts a completed read: takes ownership of the chunk buffers
-  /// holding the sample (piece i holds bytes [piece_len[i]] of it).
-  /// Evicts LRU victims (clearing their V bits) to stay within capacity;
-  /// if everything is pinned the insert is skipped (the data still
-  /// reaches the application; it just isn't retained).
+  /// holding the sample (piece i holds bytes [piece_len[i]] of it). A
+  /// cache without room for it declines the insert and keeps every
+  /// resident entry (the data still reaches the application; it just
+  /// isn't retained).
   void insert(std::size_t sample_id, std::vector<mem::DmaBuffer> pieces,
               std::vector<std::uint32_t> piece_lens);
+
+  /// install_order() position of a sample this cache will not serve
+  /// again this epoch; also the state of an entry once it has been read
+  /// (or while no order is installed). Sorts after every real position.
+  static constexpr std::uint32_t kNotDue =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Installs an epoch's order: `position[s]` is sample s's place in the
+  /// fleet-wide shuffle (see sample_positions()), or kNotDue if it will
+  /// not be read from this cache this epoch. Every resident entry becomes
+  /// due at its position until it is next read.
+  void install_order(std::span<const std::uint32_t> position);
 
   /// Drops a resident sample (no-op if absent or pinned).
   void evict(std::size_t sample_id);
 
-  /// Evicts the least-recently-used unpinned entry; returns false if
-  /// nothing can be evicted. The I/O engine calls this under huge-page
-  /// pool pressure — the cache and in-flight DMA buffers share the pool,
-  /// so a full cache must yield chunks back to keep I/O flowing.
-  bool evict_lru_one();
+  /// Evicts the unpinned entry whose next use is farthest away — one not
+  /// due this epoch, else the one latest in the installed order; returns
+  /// false if nothing unpinned is resident. The I/O engine calls this
+  /// under huge-page pool pressure — the cache and in-flight DMA buffers
+  /// share the pool, so a full cache must yield chunks back to keep I/O
+  /// flowing.
+  bool evict_one();
 
   [[nodiscard]] std::size_t resident_samples() const;
   [[nodiscard]] std::size_t resident_chunks() const;
@@ -111,6 +144,10 @@ class SampleCache {
   [[nodiscard]] static constexpr std::size_t num_shards() { return kShards; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
+  /// Inserts a full cache declined, keeping its resident entries.
+  [[nodiscard]] std::uint64_t declined_inserts() const { return declined_; }
+  /// Entries removed by evict_one() (pool pressure) or evict().
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   void note_hit() { ++hits_; }
   void note_miss() { ++misses_; }
 
@@ -128,18 +165,16 @@ class SampleCache {
   struct Entry {
     std::vector<mem::DmaBuffer> pieces;
     std::vector<std::uint32_t> piece_lens;
-    std::list<std::size_t>::iterator lru_pos;
     std::uint32_t pins = 0;
-    std::uint64_t last_use = 0;  // global recency stamp (tick_)
+    std::uint32_t next_use = kNotDue;  // position in the installed order
   };
 
   struct Shard {
     explicit Shard(const char* ledger_name) : ledger(ledger_name) {}
-    // Each shard's map/lru/chunks_used form one suspension-free slice;
-    // the ledger enforces that should a co_await ever creep in.
+    // Each shard's map/chunks_used form one suspension-free slice; the
+    // ledger enforces that should a co_await ever creep in.
     mutable dlsim::AccessLedger ledger;
     std::unordered_map<std::size_t, Entry> map;
-    std::list<std::size_t> lru;  // front = most recent within the shard
     std::size_t chunks_used = 0;
   };
 
@@ -147,21 +182,10 @@ class SampleCache {
     return shards_[sample_id % kShards];
   }
 
-  /// Globally least-recently-used unpinned entry, as (shard, sample id);
-  /// found == false when every resident entry is pinned. Suspension-free;
-  /// takes a read slice on every shard scanned.
-  struct Victim {
-    bool found = false;
-    std::size_t shard = 0;
-    std::size_t sample_id = 0;
-  };
-  [[nodiscard]] Victim find_global_lru_victim() const;
-
-  /// Removes one entry from its shard (caller already picked it; entry
-  /// must be unpinned). Opens the shard's write slice.
-  void evict_from_shard(std::size_t shard_idx, std::size_t sample_id);
-
-  void evict_until_fits(std::size_t incoming_chunks);
+  /// Removes an unpinned resident entry (caller holds its shard's write
+  /// slice) and clears its V bit.
+  void erase_entry(Shard& sh,
+                   std::unordered_map<std::size_t, Entry>::iterator it);
 
   mem::HugePagePool* pool_;
   std::size_t capacity_;
@@ -169,9 +193,10 @@ class SampleCache {
   std::array<Shard, kShards> shards_{
       Shard{"sample-cache-0"}, Shard{"sample-cache-1"},
       Shard{"sample-cache-2"}, Shard{"sample-cache-3"}};
-  std::uint64_t tick_ = 0;  // global recency clock; bumped on pin/insert
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  std::uint64_t declined_ = 0;
+  std::uint64_t evictions_ = 0;
   std::function<void(std::size_t, bool)> residency_listener_;
 };
 

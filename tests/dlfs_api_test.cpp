@@ -109,6 +109,16 @@ TEST(DlfsMount, MountTakesSimulatedTime) {
   EXPECT_GT(rig.sim.now(), 1_ms);
 }
 
+TEST(DlfsMount, LargeShardMountKeepsStackFlat) {
+  // 65536 samples staged into one node's shard. Staging must not nest a
+  // coroutine frame per sample: in builds without guaranteed tail calls
+  // (the sanitizer CI job) that overflowed the stack.
+  Rig rig(1, dlfs::dataset::make_fixed_size_dataset(65536, 64));
+  rig.mount();
+  EXPECT_EQ(rig.fleet.directory().num_samples(), 65536u);
+  EXPECT_EQ(rig.cluster.node(0).device().bytes_written(), 65536u * 64u);
+}
+
 TEST(DlfsMount, ManualParticipantSpawnStillWorks) {
   // mount_participant stays as the advanced escape hatch: spawning the
   // collective by hand must end in the same mounted state mount() gives.

@@ -315,35 +315,80 @@ TEST(SampleCache, PinReturnsSpansOfInsertedLengths) {
   rig.cache.unpin(3);
 }
 
-TEST(SampleCache, LruEvictionClearsVBit) {
-  CacheRig rig;  // capacity 4 chunks
+TEST(SampleCache, FullCacheDeclinesInsert) {
+  CacheRig rig;  // capacity 4 chunks, no order installed
   for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);
-  EXPECT_TRUE(rig.cache.valid(0));
-  rig.insert_sample(4);  // evicts LRU = sample 0
-  EXPECT_FALSE(rig.cache.valid(0));
-  EXPECT_TRUE(rig.cache.valid(4));
-  EXPECT_LE(rig.cache.resident_chunks(), 4u);
+  rig.insert_sample(4);  // just read: worth no more than any resident
+  EXPECT_FALSE(rig.cache.valid(4));
+  for (std::size_t id = 0; id < 4; ++id) EXPECT_TRUE(rig.cache.valid(id));
+  EXPECT_EQ(rig.cache.resident_chunks(), 4u);
+  EXPECT_EQ(rig.cache.declined_inserts(), 1u);
+  EXPECT_EQ(rig.cache.evictions(), 0u);
 }
 
-TEST(SampleCache, PinRefreshesRecency) {
+// Positions in a 100-sample epoch order: 0 -> 10, 1 -> 50, 2 -> 30,
+// 3 -> 5 (everything else beyond them).
+std::vector<std::uint32_t> test_order() {
+  std::vector<std::uint32_t> pos(100);
+  for (std::uint32_t id = 0; id < 100; ++id) pos[id] = 60 + id;
+  pos[0] = 10;
+  pos[1] = 50;
+  pos[2] = 30;
+  pos[3] = 5;
+  return pos;
+}
+
+TEST(SampleCache, EvictOneTakesConsumedThenFarthestDue) {
   CacheRig rig;
   for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);
-  // Touch 0 so 1 becomes the LRU victim.
-  (void)rig.cache.pin(0);
+  rig.cache.install_order(test_order());
+  (void)rig.cache.pin(0);  // 0 is read this epoch: no longer due
   rig.cache.unpin(0);
-  rig.insert_sample(9);
-  EXPECT_TRUE(rig.cache.valid(0));
+  // Consumed before due, even though 1 is due later than 0 was.
+  ASSERT_TRUE(rig.cache.evict_one());
+  EXPECT_FALSE(rig.cache.valid(0));
+  // Then the due entries, latest position first: 1 (50), 2 (30), 3 (5).
+  ASSERT_TRUE(rig.cache.evict_one());
   EXPECT_FALSE(rig.cache.valid(1));
+  EXPECT_TRUE(rig.cache.valid(2));
+  ASSERT_TRUE(rig.cache.evict_one());
+  EXPECT_FALSE(rig.cache.valid(2));
+  EXPECT_TRUE(rig.cache.valid(3));
+  ASSERT_TRUE(rig.cache.evict_one());
+  EXPECT_FALSE(rig.cache.evict_one());  // empty
+  EXPECT_EQ(rig.cache.evictions(), 4u);
+  EXPECT_EQ(rig.cache.resident_chunks(), 0u);
+}
+
+TEST(SampleCache, EvictOneTakesEntriesNotDueHereFirst) {
+  // An entry this cache will not serve this epoch (kNotDue: another
+  // client's share with no peer cache) goes before any due entry.
+  CacheRig rig;
+  for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);
+  auto order = test_order();
+  order[3] = SampleCache::kNotDue;
+  rig.cache.install_order(order);
+  ASSERT_TRUE(rig.cache.evict_one());
+  EXPECT_FALSE(rig.cache.valid(3));
+  ASSERT_TRUE(rig.cache.evict_one());
+  EXPECT_FALSE(rig.cache.valid(1));  // then the farthest due (50)
 }
 
 TEST(SampleCache, PinnedEntriesSurviveEviction) {
   CacheRig rig;
   for (std::size_t id = 0; id < 4; ++id) rig.insert_sample(id);
-  (void)rig.cache.pin(0);  // pin the LRU candidate
-  rig.insert_sample(5);
-  EXPECT_TRUE(rig.cache.valid(0));   // pinned: not evicted
-  EXPECT_FALSE(rig.cache.valid(1));  // next victim instead
-  rig.cache.unpin(0);
+  rig.cache.install_order(test_order());
+  (void)rig.cache.pin(1);  // pin the farthest-due candidate
+  ASSERT_TRUE(rig.cache.evict_one());
+  EXPECT_TRUE(rig.cache.valid(1));   // pinned: not evicted
+  EXPECT_FALSE(rig.cache.valid(2));  // next victim instead
+  (void)rig.cache.pin(0);
+  (void)rig.cache.pin(3);
+  EXPECT_FALSE(rig.cache.evict_one());  // everything left is pinned
+  rig.cache.evict(0);                   // explicit evict skips pins too
+  EXPECT_TRUE(rig.cache.valid(0));
+  EXPECT_EQ(rig.cache.resident_samples(), 3u);
+  for (std::size_t id : {0u, 1u, 3u}) rig.cache.unpin(id);
 }
 
 TEST(SampleCache, OversizedInsertIsSkipped) {
@@ -511,6 +556,21 @@ TEST(EpochSequence, ExhaustionReturnsShortThenEmpty) {
   for (auto& pk : p2) c2 += pk.count;
   EXPECT_EQ(c2, 2u);
   EXPECT_TRUE(seq.take(8).empty());
+}
+
+TEST(EpochSequence, SamplePositionsFollowTheSharedShuffle) {
+  // Client c of k reads global rank j*k + c at its slot j: every client
+  // can tell when any sample is next read fleet-wide.
+  auto layout = uniform_layout(100, 4096, 2);
+  BatchPlan plan(layout, 256_KiB, BatchingMode::kSampleLevel);
+  const auto pos = dlfs::core::sample_positions(plan, 9);
+  ASSERT_EQ(pos.size(), 100u);
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    EpochSequence seq(plan, 9, c, 3);
+    for (std::size_t j = 0; j < seq.num_units(); ++j) {
+      EXPECT_EQ(pos[seq.unit_at(j)->samples.front().sample_id], j * 3 + c);
+    }
+  }
 }
 
 TEST(EpochSequence, DifferentSeedsDifferentOrder) {

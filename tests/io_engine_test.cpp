@@ -105,9 +105,10 @@ TEST(IoEngine, PoolBackpressureStillCompletes) {
 }
 
 TEST(IoEngine, CacheYieldsChunksUnderPoolPressure) {
-  // A cache big enough to absorb the whole pool must evict LRU entries
-  // when new reads need DMA chunks (regression test for a livelock where
-  // the posting loop waited forever on a pool the cache had swallowed).
+  // A cache big enough to absorb the whole pool must yield entries
+  // (SampleCache::evict_one) when new reads need DMA chunks (regression
+  // test for a livelock where the posting loop waited forever on a pool
+  // the cache had swallowed).
   IoEngineConfig cfg;
   EngineRig rig(cfg, 1, /*pool_chunks=*/4);
   // rig.cache capacity is 16 chunks > 4 pool chunks.

@@ -272,12 +272,15 @@ TEST(PeerCache, RemotePeerPullsOverFabricAfterReshuffle) {
 }
 
 TEST(PeerCache, PinnedPeerServeSurvivesEvictionPressure) {
-  // Holder caches smaller than the per-client share: every epoch-2 serve
-  // races the holder's own inserts, so a pinned entry must survive the
-  // eviction scan until the peer copy lands. scribble_on_free turns any
-  // violation (a view read out of a recycled chunk) into 0xDD bytes —
-  // the content check would fail loudly.
+  // Holder caches smaller than the per-client share, in a huge-page pool
+  // barely larger than the cache: every epoch-2 read-ahead needs chunks
+  // the full cache holds, so the engine evicts while peer serves are
+  // pinned, and a pinned entry must survive the eviction scan until the
+  // peer copy lands. scribble_on_free turns any violation (a view read
+  // out of a recycled chunk) into 0xDD bytes — the content check would
+  // fail loudly.
   auto c = PeerRig::cfg(/*cache_chunks=*/96);  // share is 256 samples
+  c.pool_bytes = (96 + 24) * c.chunk_bytes;
   c.scribble_on_free = true;
   PeerRig rig(2, /*clients=*/{1, 1}, /*storage=*/{0}, c);
   auto& a = rig.fleet.instance(0);
@@ -291,6 +294,8 @@ TEST(PeerCache, PinnedPeerServeSurvivesEvictionPressure) {
   rig.sim.run_watchdog(rig.sim.now() + 30_sec);
   rig.sim.rethrow_failures();
 
+  const std::uint64_t evictions_e1 =
+      a.stats().cache_evictions + b.stats().cache_evictions;
   a.sequence(2);
   b.sequence(2);
   DeliveryLog a2, b2;
@@ -307,6 +312,67 @@ TEST(PeerCache, PinnedPeerServeSurvivesEvictionPressure) {
   const auto sa = a.stats();
   const auto sb = b.stats();
   EXPECT_GT(sa.peer_hits_local + sb.peer_hits_local, 0u);
+  // The pool really was under pressure during the peer-serving epoch, so
+  // the test cannot silently stop exercising the pin-vs-evict race.
+  EXPECT_GT(sa.cache_evictions + sb.cache_evictions, evictions_e1);
+}
+
+TEST(PeerCache, WarmEpochsServeEveryFleetResidentSample) {
+  // Three clients on separate nodes, each cache about half its epoch
+  // share. Every sample is read exactly once per epoch fleet-wide, so a
+  // retention policy that keeps its full set serves the whole resident
+  // set from DRAM — local hits plus peer hits — in every warm epoch. A
+  // recency policy instead lets each epoch's inserts evict entries the
+  // reshuffled order had not reached yet.
+  PeerRig rig(4, /*clients=*/{1, 2, 3}, /*storage=*/{0},
+              PeerRig::cfg(/*cache_chunks=*/80));  // share is ~171 samples
+  std::array<dlfs::core::DlfsInstance*, 3> inst{};
+  for (std::uint32_t c = 0; c < 3; ++c) inst[c] = &rig.fleet.instance(c);
+  auto dram_hits = [&] {
+    std::uint64_t n = 0;
+    for (auto* i : inst) {
+      const auto st = i->stats();
+      n += i->cache().hits() + st.peer_hits_local + st.peer_hits_remote;
+    }
+    return n;
+  };
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::uint64_t resident = 0;
+    for (std::size_t id = 0; id < PeerRig::kSamples; ++id) {
+      bool held = false;
+      for (auto* i : inst) held = held || i->cache().valid(id);
+      resident += held ? 1 : 0;
+    }
+    std::uint64_t evictions = 0;
+    for (auto* i : inst) evictions += i->stats().cache_evictions;
+    const std::uint64_t hits_before = dram_hits();
+    std::array<DeliveryLog, 3> logs;
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      inst[c]->sequence(seed);
+      rig.sim.spawn(run_epoch_logged(rig.ds, *inst[c], logs[c]), "fleet");
+    }
+    rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+    rig.sim.rethrow_failures();
+    std::size_t delivered = 0;
+    for (const auto& l : logs) {
+      EXPECT_TRUE(l.content_ok);
+      EXPECT_EQ(l.skipped, 0u);
+      delivered += l.order.size();
+    }
+    EXPECT_EQ(delivered, PeerRig::kSamples);
+    if (seed == 1) {
+      EXPECT_EQ(resident, 0u);  // cold epoch
+      continue;
+    }
+    EXPECT_EQ(resident, 3u * 80u) << "epoch " << seed;
+    EXPECT_EQ(dram_hits() - hits_before, resident) << "epoch " << seed;
+    std::uint64_t evictions_after = 0;
+    for (auto* i : inst) evictions_after += i->stats().cache_evictions;
+    EXPECT_EQ(evictions_after, evictions) << "epoch " << seed;
+  }
+  std::uint64_t declined = 0;
+  for (auto* i : inst) declined += i->stats().cache_declined_inserts;
+  EXPECT_GT(declined, 0u);
 }
 
 TEST(PeerCache, CrashFailoverSkipsExactlyOncePerSample) {
