@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <ostream>
 #include <set>
 #include <tuple>
 
@@ -171,6 +172,16 @@ struct StackParam {
   bool variable_sizes;
   std::uint64_t chunk_bytes;
 };
+
+// Names each case by its fields. gtest's default dumps the raw bytes,
+// padding included, which gives the case a different name every run.
+void PrintTo(const StackParam& p, std::ostream* os) {
+  static constexpr const char* kModes[] = {"none", "sample-level",
+                                           "chunk-level"};
+  *os << p.nodes << " nodes, " << kModes[static_cast<int>(p.mode)] << ", "
+      << (p.variable_sizes ? "variable" : "fixed") << ", "
+      << p.chunk_bytes / 1024 << " KiB";
+}
 
 class DlfsStackProperty : public ::testing::TestWithParam<StackParam> {};
 
