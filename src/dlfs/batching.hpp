@@ -138,11 +138,7 @@ class EpochSequence {
     return order_.at(slot);
   }
 
-  /// Cursor-based read-ahead iteration (no per-call allocation): the
-  /// unit slot currently being consumed and the total slot count. The
-  /// slots ahead of the cursor are [cursor_unit(), num_units()) — the
-  /// prefetch window walks them directly.
-  [[nodiscard]] std::size_t cursor_unit() const { return cur_unit_; }
+  /// Number of unit slots in this client's order.
   [[nodiscard]] std::size_t num_units() const { return order_.size(); }
 
  private:

@@ -408,12 +408,11 @@ dlsim::Task<void> DlfsFleet::mount_participant(std::uint32_t p) {
   mounted_ = true;
 }
 
-void DlfsFleet::mount(const MountOptions& opts) {
+void DlfsFleet::mount() {
   dlsim::Simulator& sim = cluster_->simulator();
   for (std::uint32_t p = 0; p < participants(); ++p) {
     sim.spawn(mount_participant(p));
   }
-  if (!opts.run_to_completion) return;
   sim.run();
   sim.rethrow_failures();
   if (!mounted_) {
@@ -471,7 +470,7 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
   // the node was down.
   engine_->set_node_down_handler([this](std::uint16_t nid, bool up) {
     fleet_->directory_.set_node_available(nid, up);
-    if (up && prefetcher_) (void)prefetcher_->reissue_failed();
+    if (up) (void)prefetcher_->reissue_failed();
     // Failure detector + late-rejoin reconciliation ride the same
     // transition (suspect timer on down, undeclare on up).
     on_node_transition(nid, up);
@@ -488,22 +487,22 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
         repair_loop(repair_alive_),
         "dlfs-repair-" + std::to_string(client_idx));
   }
-  if (cfg.prefetch.enabled) {
-    prefetcher_ = std::make_unique<Prefetcher>(
-        node.simulator(), *engine_, *pool_, cfg.chunk_bytes, cfg.prefetch,
-        "dlfs-prefetch-" + std::to_string(client_idx));
-    engine_->set_pressure_reliever(
-        [this] { return prefetcher_->relieve_pressure(); });
-    if (fleet.tenant_) {
-      // The arbiter splits a node's prefetch budget by weight × window
-      // target, so a tenant's read-ahead share follows its QoS weight.
-      prefetcher_->set_share_weight(
-          TenantGovernor::effective_weight(fleet.tenant_->qos()));
-    }
-    if (cfg.prefetch.shared_arbiter) {
-      arbiter_ = fleet.arbiter_for(fleet.client_nodes_[client_idx]);
-      prefetcher_->set_arbiter(arbiter_);
-    }
+  // Every read of the epoch order goes through the prefetcher; with
+  // prefetch.enabled off it runs synchronously (no daemon).
+  prefetcher_ = std::make_unique<Prefetcher>(
+      node.simulator(), *engine_, *pool_, cfg.chunk_bytes, cfg.prefetch,
+      "dlfs-prefetch-" + std::to_string(client_idx));
+  engine_->set_pressure_reliever(
+      [this] { return prefetcher_->relieve_pressure(); });
+  if (fleet.tenant_) {
+    // The arbiter splits a node's prefetch budget by weight × window
+    // target, so a tenant's read-ahead share follows its QoS weight.
+    prefetcher_->set_share_weight(
+        TenantGovernor::effective_weight(fleet.tenant_->qos()));
+  }
+  if (cfg.prefetch.shared_arbiter) {
+    arbiter_ = fleet.arbiter_for(fleet.client_nodes_[client_idx]);
+    prefetcher_->set_arbiter(arbiter_);
   }
   if (cfg.peer_cache.enabled) {
     // Cooperative peer cache: join the node's member index so co-located
@@ -711,7 +710,7 @@ dlsim::Task<void> DlfsInstance::maybe_reprobe() {
       co_await engine_->reprobe_down_nodes(*io_core_);
   // Read-ahead issued while the node was down carries baked-in
   // failures; retry it now that the node answers again.
-  if (recovered > 0 && prefetcher_) (void)prefetcher_->reissue_failed();
+  if (recovered > 0) (void)prefetcher_->reissue_failed();
 }
 
 std::vector<RouteHop> DlfsInstance::sample_routes(
@@ -1016,14 +1015,13 @@ dlsim::Task<bool> DlfsInstance::repair_one(std::uint32_t sample_id,
 }
 
 void DlfsInstance::spawn_injected(dlsim::CountdownLatch* done) {
-  if (injected_ <= 0) {
+  if (injected_ <= 0 || prefetcher_->fold_compute(injected_)) {
     done->count_down();
     return;
   }
-  // Injected poll-loop compute (Fig. 7b) runs concurrently with the
-  // fetches — the daemon keeps pumping I/O meanwhile, so the compute
-  // hides under the batch's stalls exactly as it hid under the
-  // synchronous pump's poll loop.
+  // With the daemon pumping, injected poll-loop compute (Fig. 7b) runs
+  // beside the fetches as its own task, so it hides under the batch's
+  // stalls.
   node_->simulator().spawn(
       [](dlsim::CpuCore* core, dlsim::SimDuration d,
          dlsim::CountdownLatch* latch) -> dlsim::Task<void> {
@@ -1064,33 +1062,13 @@ dlsim::Task<void> DlfsInstance::charge_frontend(
 }
 
 dlsim::Task<void> DlfsInstance::recover_chunk_slot(
-    std::size_t slot, std::span<const EpochSequence::UnitPicks> picks,
-    bool use_pf, std::unordered_set<std::uint32_t>* skipped,
-    std::exception_ptr* fatal) {
-  if (use_pf) prefetcher_->discard(slot);
-  const EpochSequence::UnitPicks* pick = nullptr;
-  for (const auto& pk : picks) {
-    if (pk.unit_slot == slot) {
-      pick = &pk;
-      break;
-    }
-  }
-  if (pick == nullptr) {
-    // Pure read-ahead slot: forget it so a later bread re-fetches the
-    // whole chunk once the node recovers — unless a live ViewBatch still
-    // pins it: erasing would recycle (and under scribble_on_free poison)
-    // huge-page chunks the application is reading through views. The
-    // pinned unit stays; release_views() runs maybe_release_unit as usual.
-    auto it = fetched_.find(slot);
-    if (it == fetched_.end() || it->second.view_pins == 0) {
-      fetched_.erase(slot);
-    }
-    co_return;
-  }
+    const EpochSequence::UnitPicks& pick,
+    std::unordered_set<std::uint32_t>* skipped, std::exception_ptr* fatal) {
+  prefetcher_->discard(pick.unit_slot);
   // The degraded entry persists across breads (a unit can span batch
   // boundaries); re-entry fills the newly-picked samples only. Empty
   // `buffers` is the degraded marker every consumer branches on.
-  FetchedUnit& fu = fetched_[slot];
+  FetchedUnit& fu = fetched_[pick.unit_slot];
   if (fu.view_pins > 0 && !fu.buffers.empty()) {
     // Node crashed mid-batch while this unit's chunks are view-pinned.
     // The resident bytes are still valid client memory — dropping them
@@ -1099,8 +1077,8 @@ dlsim::Task<void> DlfsInstance::recover_chunk_slot(
     co_return;
   }
   fu.buffers.clear();
-  for (std::uint32_t i = 0; i < pick->count; ++i) {
-    const auto& us = pick->unit->samples[pick->first_sample + i];
+  for (std::uint32_t i = 0; i < pick.count; ++i) {
+    const auto& us = pick.unit->samples[pick.first_sample + i];
     const std::uint32_t id = us.sample_id;
     if (fu.per_sample.contains(id)) continue;
     if (!sample_reachable(id)) {
@@ -1111,7 +1089,7 @@ dlsim::Task<void> DlfsInstance::recover_chunk_slot(
     std::vector<mem::DmaBuffer> pieces;
     auto op = engine_->start_extent(ReadExtent{loc.nid, loc.offset, loc.len,
                                                nullptr, std::nullopt, &pieces,
-                                               {}, sample_routes(id)});
+                                               sample_routes(id)});
     co_await engine_->await_op(*io_core_, op, 0);
     if (op->error()) {
       // Media/unknown faults stay fatal; the caller rethrows after its
@@ -1125,168 +1103,52 @@ dlsim::Task<void> DlfsInstance::recover_chunk_slot(
 }
 
 dlsim::Task<void> DlfsInstance::fetch_chunk_units(
-    std::span<const EpochSequence::UnitPicks> picks, bool use_pf,
+    std::span<const EpochSequence::UnitPicks> picks,
     std::unordered_set<std::uint32_t>* skipped, std::exception_ptr* fatal,
     std::function<void(std::size_t)> on_unit_ready) {
-  auto ready = [&on_unit_ready](std::size_t slot) {
-    if (on_unit_ready) on_unit_ready(slot);
-  };
-  // Recovery runs once per slot per call; later picks of a slot already
-  // handled this batch fall straight through to ready().
-  std::unordered_set<std::size_t> degraded;
-
-  if (use_pf) {
-    // The daemon keeps a window of units in flight between bread calls;
-    // here we only make sure every unit this batch needs has been issued
-    // (the window may be shallower than the batch), then consume them in
-    // slot order. ready() fires the moment a unit settles, while later
-    // units are still in flight.
-    prefetcher_->ensure_issued_through(picks.back().unit_slot);
-    dlsim::CountdownLatch inj_done(node_->simulator(), 1);
-    spawn_injected(&inj_done);
-    for (const auto& pk : picks) {
-      const std::size_t slot = pk.unit_slot;
-      if (degraded.contains(slot)) {
-        ready(slot);
-        continue;
-      }
-      auto fit = fetched_.find(slot);
-      if (fit != fetched_.end() && fit->second.buffers.empty()) {
-        // Degraded in an earlier batch: recover this batch's picks too.
-        co_await recover_chunk_slot(slot, picks, use_pf, skipped, fatal);
-        degraded.insert(slot);
-        ready(slot);
-        continue;
-      }
-      if (fit == fetched_.end()) {
-        bool recover = false;
-        if (!node_up(pk.unit->nid)) {
-          recover = true;
-        } else {
-          AcquiredUnit au = co_await prefetcher_->acquire(slot, *io_core_);
-          if (std::exception_ptr err = au.first_error()) {
-            // Read-ahead faults surface here, on the bread that owns the
-            // unit: media errors stay fatal (the slot settles empty so
-            // the caller's latch still drains before the rethrow);
-            // node-level faults degrade to per-sample replica recovery.
-            if (!is_node_fault(err)) {
-              if (!*fatal) *fatal = err;
-              fetched_[slot].buffers.clear();
-              degraded.insert(slot);
-              ready(slot);
-              continue;
-            }
-            recover = true;
-          } else if (au.extents.empty()) {  // cannot happen for chunk units
-            recover = true;
-          } else {
-            fetched_[slot].buffers = std::move(au.extents.front().buffers);
-          }
-        }
-        if (recover) {
-          co_await recover_chunk_slot(slot, picks, use_pf, skipped, fatal);
-          degraded.insert(slot);
-          ready(slot);
-          continue;
-        }
-      }
-      ready(slot);
-    }
-    co_await inj_done.wait();
-    co_return;
-  }
-
-  // Legacy synchronous path: one extent per unit this batch needs plus
-  // initial_units of read-ahead, all overlapped; picked units fire
-  // ready() from on_buffers_ready so copies start while later chunks
-  // are still in flight.
-  std::vector<ReadExtent> extents;
-  std::vector<std::size_t> extent_slots;  // parallel to extents
-  std::unordered_set<std::size_t> slots_fetching;
-  auto add_fetch = [&](std::size_t slot, const ReadUnit* unit) {
-    if (fetched_.contains(slot)) return false;
-    if (!slots_fetching.insert(slot).second) return false;
-    auto& fu = fetched_[slot];  // stable address (node-based map)
-    extents.push_back(ReadExtent{unit->nid, unit->offset, unit->len, nullptr,
-                                 std::nullopt, &fu.buffers, {}});
-    extent_slots.push_back(slot);
-    return true;
-  };
+  // The daemon keeps a window of units in flight between bread calls;
+  // here we only make sure every unit this batch needs has been issued
+  // (the window may be shallower than the batch; synchronous mode issues
+  // initial_units of read-ahead with it), then consume them in slot
+  // order. on_unit_ready fires the moment a unit settles, while later
+  // units are still in flight.
+  prefetcher_->ensure_issued_through(picks.back().unit_slot,
+                                     fleet_->config_.prefetch.initial_units);
+  dlsim::CountdownLatch inj_done(node_->simulator(), 1);
+  spawn_injected(&inj_done);
   for (const auto& pk : picks) {
     const std::size_t slot = pk.unit_slot;
-    if (degraded.contains(slot)) continue;
     auto fit = fetched_.find(slot);
-    if (fit != fetched_.end() && fit->second.buffers.empty() &&
-        !slots_fetching.contains(slot)) {
-      // Degraded in an earlier batch: recover this batch's picks too.
-      co_await recover_chunk_slot(slot, picks, use_pf, skipped, fatal);
-      degraded.insert(slot);
-      ready(slot);
-      continue;
-    }
-    if (fit == fetched_.end() && !node_up(pk.unit->nid)) {
-      co_await recover_chunk_slot(slot, picks, use_pf, skipped, fatal);
-      degraded.insert(slot);
-      ready(slot);
-      continue;
-    }
-    if (add_fetch(slot, pk.unit)) {
-      // `on_unit_ready` lives in this coroutine's frame until every
-      // extent has been awaited below, so the pointer capture is safe.
-      extents.back().on_buffers_ready = [cb = &on_unit_ready, slot] {
-        if (*cb) (*cb)(slot);
-      };
-    } else if (fetched_.contains(slot) && !fetched_.at(slot).buffers.empty()) {
-      // Already resident from earlier read-ahead: settled right away.
-      ready(slot);
-    }
-  }
-  // Synchronous read-ahead: fetch the next initial_units units along
-  // with this batch so the device pipeline stays full across bread
-  // calls (legacy mode; the async prefetcher replaces this).
-  const std::size_t ra_end =
-      std::min(seq_->num_units(),
-               seq_->cursor_unit() + fleet_->config_.prefetch.initial_units);
-  for (std::size_t slot = seq_->cursor_unit(); slot < ra_end; ++slot) {
-    const ReadUnit* u = seq_->unit_at(slot);
-    if (!node_up(u->nid)) continue;  // no point read-ahead to a dead node
-    (void)add_fetch(slot, u);
-  }
-  if (extents.empty()) co_return;
-  auto ops = engine_->start_extents(std::move(extents));
-  dlsim::SimDuration inj = injected_;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    co_await engine_->await_op(*io_core_, ops[i], inj);
-    inj = 0;
-    if (!ops[i]->error()) continue;
-    bool needs_recovery = false;
-    bool settled_fatal = false;
-    try {
-      std::rethrow_exception(ops[i]->error());
-    } catch (const IoError& e) {
-      if (e.kind == IoErrorKind::kMedia) {
-        if (!*fatal) *fatal = ops[i]->error();
-        settled_fatal = true;
+    // Degraded in an earlier batch: recover this batch's picks too.
+    bool recover = fit != fetched_.end() && fit->second.buffers.empty();
+    if (fit == fetched_.end()) {
+      if (!node_up(pk.unit->nid)) {
+        recover = true;
       } else {
-        needs_recovery = true;  // co_await is illegal in a handler
+        AcquiredUnit au = co_await prefetcher_->acquire(slot, *io_core_);
+        if (std::exception_ptr err = au.first_error()) {
+          // Read-ahead faults surface here, on the bread that owns the
+          // unit: media errors stay fatal (the slot settles empty so the
+          // caller's latch still drains before the rethrow); node-level
+          // faults degrade to per-sample replica recovery.
+          if (!is_node_fault(err)) {
+            if (!*fatal) *fatal = err;
+            fetched_[slot].buffers.clear();
+          } else {
+            recover = true;
+          }
+        } else if (au.extents.empty()) {  // cannot happen for chunk units
+          recover = true;
+        } else {
+          fetched_[slot].buffers = std::move(au.extents.front().buffers);
+        }
       }
-    } catch (...) {
-      if (!*fatal) *fatal = ops[i]->error();
-      settled_fatal = true;
     }
-    const std::size_t slot = extent_slots[i];
-    if (needs_recovery) {
-      co_await recover_chunk_slot(slot, picks, use_pf, skipped, fatal);
-      degraded.insert(slot);
-      ready(slot);
-    } else if (settled_fatal) {
-      // The slot settles empty (possibly partially-filled buffers are
-      // dropped) so the caller's latch drains before the rethrow.
-      fetched_[slot].buffers.clear();
-      degraded.insert(slot);
-      ready(slot);
-    }
+    if (recover) co_await recover_chunk_slot(pk, skipped, fatal);
+    if (on_unit_ready) on_unit_ready(slot);
   }
+  co_await inj_done.wait();
+  co_await prefetcher_->settle(io_core_);
 }
 
 dlsim::Task<SampleHandle> DlfsInstance::open(std::string_view name) {
@@ -1356,7 +1218,7 @@ dlsim::Task<void> DlfsInstance::read(const SampleHandle& h,
     // prefetch daemon already has its extent in flight — consume it;
     // out-of-order / unsequenced file reads go straight through the
     // engine as before.
-    if (prefetcher_ && file_seq_active_ &&
+    if (file_seq_active_ &&
         file_cursor_ < file_extents_.size() &&
         file_extents_[file_cursor_].nid == e.nid() &&
         file_extents_[file_cursor_].offset == e.offset() &&
@@ -1435,33 +1297,32 @@ void DlfsInstance::sequence(std::uint64_t seed) {
   acq_units_.clear();
   file_seq_active_ = false;
   reprobe_pending_ = true;  // epoch boundary: revalidate down nodes once
-  if (prefetcher_) {
-    // Chunk mode prefetches 1 unit = 1 chunk/edge extent (always fetched
-    // whole); sample-level and unbatched modes fuse group_samples
-    // consecutive per-sample slots into one unit and elide extents whose
-    // sample is already cache-resident.
-    const bool chunk = fleet_->config_.batching == BatchingMode::kChunkLevel;
-    // With replication, per-sample extents (sample-level/unbatched units
-    // and chunk-mode edge samples) carry their replica failover list so
-    // read-ahead re-routes inside the engine instead of failing.
-    EpochUnitProvider::RouteResolver routes;
-    if (fleet_->config_.fault.replication.k > 1) {
-      routes = [this](std::uint32_t id) { return sample_routes(id); };
-    }
-    // Peer-resident samples are elided from read-ahead like cache hits:
-    // the consume path pulls them from the peer instead of the device.
-    // Chunk units always fetch whole (their samples never populate the
-    // sample cache), so chunk mode takes no probe.
-    EpochUnitProvider::PeerProbe peers;
-    if (fleet_->config_.peer_cache.enabled && !chunk) {
-      peers = [this](std::uint32_t id) { return peer_resident(id); };
-    }
-    epoch_provider_ = std::make_unique<EpochUnitProvider>(
-        *seq_, chunk ? 1u : fleet_->config_.prefetch.group_samples,
-        chunk ? nullptr : cache_.get(), std::move(routes),
-        std::move(peers));
-    prefetcher_->start_epoch(epoch_provider_.get());
+  // Chunk mode prefetches 1 unit = 1 chunk/edge extent (always fetched
+  // whole); sample-level and unbatched modes fuse group_samples
+  // consecutive per-sample slots into one unit (one slot each when
+  // synchronous: there is no window to amortize) and elide extents whose
+  // sample is already cache-resident.
+  const bool chunk = fleet_->config_.batching == BatchingMode::kChunkLevel;
+  const bool fuse = !chunk && prefetcher_->reads_ahead();
+  // With replication, per-sample extents (sample-level/unbatched units
+  // and chunk-mode edge samples) carry their replica failover list so
+  // read-ahead re-routes inside the engine instead of failing.
+  EpochUnitProvider::RouteResolver routes;
+  if (fleet_->config_.fault.replication.k > 1) {
+    routes = [this](std::uint32_t id) { return sample_routes(id); };
   }
+  // Peer-resident samples are elided from read-ahead like cache hits:
+  // the consume path pulls them from the peer instead of the device.
+  // Chunk units always fetch whole (their samples never populate the
+  // sample cache), so chunk mode takes no probe.
+  EpochUnitProvider::PeerProbe peers;
+  if (fleet_->config_.peer_cache.enabled && !chunk) {
+    peers = [this](std::uint32_t id) { return peer_resident(id); };
+  }
+  epoch_provider_ = std::make_unique<EpochUnitProvider>(
+      *seq_, fuse ? fleet_->config_.prefetch.group_samples : 1u,
+      chunk ? nullptr : cache_.get(), std::move(routes), std::move(peers));
+  prefetcher_->start_epoch(epoch_provider_.get());
 }
 
 const std::vector<std::string>& DlfsInstance::sequence_files(
@@ -1493,11 +1354,18 @@ const std::vector<std::string>& DlfsInstance::sequence_files(
                                        file_extents_.size()});
     file_order_.push_back(f->name);
   }
-  file_seq_active_ = true;
-  if (prefetcher_) {
-    file_provider_ = std::make_unique<ExtentListProvider>(file_extents_);
-    prefetcher_->start_epoch(file_provider_.get());
-  }
+  file_provider_ = std::make_unique<ExtentListProvider>(file_extents_);
+  prefetcher_->start_epoch(file_provider_.get());
+  // Without the daemon nothing streams ahead, so file reads stay plain
+  // engine reads.
+  file_seq_active_ = prefetcher_->reads_ahead();
+  // The sample epoch ends here: bread and bread_views throw until the
+  // next sequence(). Units still pinned by live views stay until then.
+  acq_units_.clear();
+  std::erase_if(fetched_,
+                [](const auto& kv) { return kv.second.view_pins == 0; });
+  epoch_provider_.reset();
+  seq_.reset();
   return file_order_;
 }
 
@@ -1508,25 +1376,20 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   }
   co_await maybe_reprobe();
   const auto mode = fleet_->config_.batching;
-  if (mode == BatchingMode::kNone) {
-    co_return co_await bread_unbatched(max_samples, arena);
-  }
 
   Batch batch;
   auto picks = seq_->take(max_samples);
   batch.end_of_epoch = picks.empty();
   if (picks.empty()) co_return batch;
-  // The daemon serves whatever order was installed last; a record-file
-  // streaming order (sequence_files) means bread fetches on demand.
-  const bool use_pf = prefetcher_ != nullptr && !file_seq_active_;
   // Skip accounting: one entry per unreachable sample, no matter how
   // many paths (per-request fault, unit-level skip, precheck) notice it.
   std::unordered_set<std::uint32_t> skipped;
-
-  // Frontend: directory lookups for every sample in the mini-batch.
   std::size_t total = 0;
   for (const auto& pk : picks) total += pk.count;
-  co_await charge_frontend(picks);
+  // Frontend: directory lookups for every sample in the mini-batch.
+  // DLFS-Base instead looks each sample up as it reads it (below).
+  const bool base = mode == BatchingMode::kNone;
+  if (!base) co_await charge_frontend(picks);
 
   // Arena layout: samples packed in pick order.
   std::uint64_t arena_pos = 0;
@@ -1542,17 +1405,20 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
     return off;
   };
 
-  if (mode == BatchingMode::kSampleLevel && use_pf) {
-    // Route the batch through the prefetch daemon: misses come out of the
-    // acquired read units (fused groups of per-sample extents, issued
-    // ahead of the cursor between bread calls) and copy through the SCQ
-    // pool; cache hits copy inline exactly as in the demand path — so
-    // delivery order and bytes are identical with the daemon on or off.
-    prefetcher_->ensure_issued_through(
-        epoch_provider_->unit_of(picks.back().unit_slot));
+  if (mode != BatchingMode::kChunkLevel) {
+    // Sample-level and DLFS-Base: misses come out of the prefetcher's
+    // acquired read units and copy through the SCQ pool; cache hits copy
+    // inline; samples elided at issue time or whose read failed on a node
+    // fault fall back to a peer, then a demand read with the failover
+    // route. DLFS-Base is a loop of synchronous dlfs_reads: each sample
+    // pays its own directory lookup and copies on the I/O core, and its
+    // units are demanded one at a time (the daemon, if on, reads ahead).
+    if (!base) {
+      prefetcher_->ensure_issued_through(
+          epoch_provider_->unit_of(picks.back().unit_slot));
+    }
     dlsim::CountdownLatch copy_latch(node_->simulator(), total);
-    // Injected poll-loop compute (Fig. 7b) runs concurrently with the
-    // acquires — the daemon keeps pumping I/O meanwhile.
+    // Injected poll-loop compute (Fig. 7b) overlaps the acquires.
     dlsim::CountdownLatch inj_done(node_->simulator(), 1);
     spawn_injected(&inj_done);
     std::exception_ptr fatal;
@@ -1560,6 +1426,10 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
       for (std::uint32_t i = 0; i < pk.count; ++i) {
         const auto& us = pk.unit->samples[pk.first_sample + i];
         const SampleLocation& loc = fleet_->layout_[us.sample_id];
+        if (base) {
+          (void)fleet_->directory_.lookup_id(us.sample_id);  // real walk
+          co_await charge_lookup();
+        }
         const std::size_t uslot = epoch_provider_->unit_of(pk.unit_slot);
         auto pu = acq_units_.find(uslot);
         if (pu == acq_units_.end()) {
@@ -1601,7 +1471,7 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
           job.dst = arena.data() + off;
           job.cache_sample_id = us.sample_id;
           job.latch = &copy_latch;
-          if (fleet_->config_.copy_threads == 0) {
+          if (base || fleet_->config_.copy_threads == 0) {
             co_await engine_->run_copy_inline(*io_core_, std::move(job));
           } else {
             co_await engine_->enqueue_copy(std::move(job));
@@ -1620,12 +1490,12 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
           copy_latch.count_down();
         } else {
           // Elided at issue time (the sample was cache- or peer-resident
-          // then but evicted since), or its read-ahead died on a node
-          // fault while a replica — or the recovered primary — can still
-          // serve it: serve from a peer if one holds it, else
-          // demand-fetch with the failover route attached. The skipped
-          // set keeps accounting exactly-once even when a sample falls
-          // through both the peer and the replica attempts.
+          // then but evicted since), or its read died on a node fault
+          // while a replica — or the recovered primary — can still serve
+          // it: serve from a peer if one holds it, else demand-fetch
+          // with the failover route attached. The skipped set keeps
+          // accounting exactly-once even when a sample falls through
+          // both the peer and the replica attempts.
           if (arena_pos + loc.len > arena.size()) {
             throw std::invalid_argument(
                 "dlfs_bread: arena too small for batch");
@@ -1658,87 +1528,9 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
       }
     }
     co_await inj_done.wait();
+    co_await prefetcher_->settle(io_core_);
     co_await copy_latch.wait();
     if (fatal) std::rethrow_exception(fatal);
-  } else if (mode == BatchingMode::kSampleLevel) {
-    // One request per sample, overlapped up to the queue depth; cache hits
-    // are served with a memcpy only. Samples on an unavailable node are
-    // skipped (cache hits still serve); per-request node faults surfacing
-    // mid-batch drop just their sample.
-    std::vector<ReadExtent> extents;
-    std::vector<std::uint32_t> extent_samples;  // parallel: sample ids
-    extents.reserve(total);
-    for (const auto& pk : picks) {
-      for (std::uint32_t i = 0; i < pk.count; ++i) {
-        const auto& us = pk.unit->samples[pk.first_sample + i];
-        const SampleLocation& loc = fleet_->layout_[us.sample_id];
-        if (cache_->valid(us.sample_id)) {
-          cache_->note_hit();
-          const auto off = place(us.sample_id, loc.len);
-          CopyJob job;
-          job.views = cache_->pin(us.sample_id);
-          job.dst = arena.data() + off;
-          co_await engine_->run_copy_inline(*io_core_, std::move(job));
-          cache_->unpin(us.sample_id);
-        } else if (!fleet_->config_.peer_cache.enabled &&
-                   !sample_reachable(us.sample_id)) {
-          skipped.insert(us.sample_id);
-        } else {
-          cache_->note_miss();
-          bool peer_served = false;
-          if (fleet_->config_.peer_cache.enabled) {
-            if (arena_pos + loc.len > arena.size()) {
-              throw std::invalid_argument(
-                  "dlfs_bread: arena too small for batch");
-            }
-            peer_served = co_await try_peer_read(us.sample_id, loc.len,
-                                                 arena.data() + arena_pos);
-          }
-          if (peer_served) {
-            (void)place(us.sample_id, loc.len);
-          } else if (!sample_reachable(us.sample_id)) {
-            // Peer miss and no live replica: skip exactly once.
-            skipped.insert(us.sample_id);
-          } else {
-            const auto off = place(us.sample_id, loc.len);
-            extents.push_back(ReadExtent{loc.nid, loc.offset, loc.len,
-                                         arena.data() + off, us.sample_id,
-                                         nullptr, {},
-                                         sample_routes(us.sample_id)});
-            extent_samples.push_back(us.sample_id);
-          }
-        }
-      }
-    }
-    if (!extents.empty()) {
-      auto ops = engine_->start_extents(std::move(extents));
-      dlsim::SimDuration inj = injected_;
-      std::exception_ptr fatal;
-      std::unordered_set<std::uint32_t> failed_ids;
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        co_await engine_->await_op(*io_core_, ops[i], inj);
-        inj = 0;
-        if (!ops[i]->error()) continue;
-        try {
-          std::rethrow_exception(ops[i]->error());
-        } catch (const IoError& e) {
-          if (e.kind == IoErrorKind::kMedia) {
-            if (!fatal) fatal = ops[i]->error();
-          } else {
-            failed_ids.insert(extent_samples[i]);
-          }
-        } catch (...) {
-          if (!fatal) fatal = ops[i]->error();
-        }
-      }
-      if (fatal) std::rethrow_exception(fatal);
-      if (!failed_ids.empty()) {
-        skipped.insert(failed_ids.begin(), failed_ids.end());
-        std::erase_if(batch.samples, [&](const BatchSample& s) {
-          return failed_ids.contains(s.sample_id);
-        });
-      }
-    }
   } else {
     // Chunk-level: fetch whole data chunks (and edge-sample extents); as
     // each chunk lands, its picked samples start copying out immediately
@@ -1789,17 +1581,9 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
           [](DlfsInstance* self, FetchedUnit* fu,
              std::vector<PendingCopy> list, std::span<std::byte> arena,
              dlsim::CountdownLatch* latch) -> dlsim::Task<void> {
-            const std::uint64_t chunk = self->fleet_->config_.chunk_bytes;
             for (const auto& pc : list) {
-              CopyJob job;
-              job.views =
-                  fu->buffers.empty()
-                      ? window_views(fu->per_sample.at(pc.us->sample_id),
-                                     chunk, 0, pc.us->len)
-                      : window_views(fu->buffers, chunk,
-                                     pc.us->offset_in_unit, pc.us->len);
-              job.dst = arena.data() + pc.arena_off;
-              job.latch = latch;
+              CopyJob job = self->chunk_copy_job(
+                  *fu, *pc.us, arena.data() + pc.arena_off, latch);
               job.origin = self->io_core_;
               co_await self->engine_->enqueue_copy(std::move(job));
             }
@@ -1819,20 +1603,12 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
       it->second.clear();
       schedule_copies(slot, std::move(list));
     };
-    co_await fetch_chunk_units(picks, use_pf, &skipped, &fatal, on_ready);
+    co_await fetch_chunk_units(picks, &skipped, &fatal, on_ready);
     for (auto& [slot, list] : inline_work) {
-      FetchedUnit& fu = fetched_.at(slot);
       for (const auto& pc : list) {
-        CopyJob job;
-        job.views =
-            fu.buffers.empty()
-                ? window_views(fu.per_sample.at(pc.us->sample_id),
-                               fleet_->config_.chunk_bytes, 0, pc.us->len)
-                : window_views(fu.buffers, fleet_->config_.chunk_bytes,
-                               pc.us->offset_in_unit, pc.us->len);
-        job.dst = arena.data() + pc.arena_off;
-        job.latch = &latch;
-        co_await engine_->run_copy_inline(*io_core_, std::move(job));
+        co_await engine_->run_copy_inline(
+            *io_core_, chunk_copy_job(fetched_.at(slot), *pc.us,
+                                      arena.data() + pc.arena_off, &latch));
       }
     }
     co_await latch.wait();
@@ -1860,6 +1636,21 @@ dlsim::Task<Batch> DlfsInstance::bread(std::size_t max_samples,
   co_return batch;
 }
 
+CopyJob DlfsInstance::chunk_copy_job(const FetchedUnit& fu,
+                                     const UnitSample& us, std::byte* dst,
+                                     dlsim::CountdownLatch* latch) const {
+  // Degraded units copy out of the sample's own replica buffers.
+  const std::uint64_t chunk = fleet_->config_.chunk_bytes;
+  CopyJob job;
+  job.views = fu.buffers.empty()
+                  ? window_views(fu.per_sample.at(us.sample_id), chunk, 0,
+                                 us.len)
+                  : window_views(fu.buffers, chunk, us.offset_in_unit, us.len);
+  job.dst = dst;
+  job.latch = latch;
+  return job;
+}
+
 void DlfsInstance::maybe_release_unit(std::size_t slot) {
   auto it = fetched_.find(slot);
   if (it == fetched_.end()) return;
@@ -1885,7 +1676,6 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   auto picks = seq_->take(max_samples);
   batch.end_of_epoch = picks.empty();
   if (picks.empty()) co_return batch;
-  const bool use_pf = prefetcher_ != nullptr && !file_seq_active_;
 
   co_await charge_frontend(picks);
 
@@ -1898,7 +1688,7 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   // handed out after everything settles (handing out a span costs no
   // CPU, so there is nothing to overlap).
   std::exception_ptr fatal;
-  co_await fetch_chunk_units(picks, use_pf, &skipped, &fatal, {});
+  co_await fetch_chunk_units(picks, &skipped, &fatal, {});
   // Fatal (media/unknown) read-ahead faults abort the batch before any
   // unit is pinned, exactly like the copy path's post-latch rethrow.
   if (fatal) std::rethrow_exception(fatal);
@@ -1922,7 +1712,7 @@ dlsim::Task<ViewBatch> DlfsInstance::bread_views(std::size_t max_samples) {
   for (const auto& pk : picks) {
     FetchedUnit& fu = fetched_.at(pk.unit_slot);
     ++fu.view_pins;
-    if (fu.view_pins == 1 && prefetcher_) {
+    if (fu.view_pins == 1) {
       // First pin: the unit's chunks now sit outside the prefetcher's
       // window but still occupy the pool; tell the arbiter.
       prefetcher_->note_view_pins(
@@ -1983,7 +1773,7 @@ void DlfsInstance::release_views(ViewBatch& batch) {
     if (it->second.view_pins == 0) {
       throw std::logic_error("release_views: pin underflow");
     }
-    if (--it->second.view_pins == 0 && prefetcher_) {
+    if (--it->second.view_pins == 0) {
       // Last pin gone: the chunks leave the view-pinned pool share
       // (whether or not the unit itself is released below).
       prefetcher_->note_view_pins(
@@ -1995,117 +1785,6 @@ void DlfsInstance::release_views(ViewBatch& batch) {
   batch.samples.clear();
   batch.fallback_storage.clear();
   batch.fallback_storage.shrink_to_fit();
-}
-
-dlsim::Task<Batch> DlfsInstance::bread_unbatched(std::size_t max_samples,
-                                                 std::span<std::byte> arena) {
-  // DLFS-Base: each sample is a synchronous dlfs_read. With the daemon
-  // on, the reads themselves still land one at a time in epoch order —
-  // but the device works ahead of the cursor between them, so the
-  // per-sample wait collapses to a memcpy once the window is warm.
-  Batch batch;
-  auto picks = seq_->take(max_samples);
-  batch.end_of_epoch = picks.empty();
-  const bool use_pf = prefetcher_ != nullptr && !file_seq_active_;
-  if (use_pf && !picks.empty()) {
-    prefetcher_->ensure_issued_through(
-        epoch_provider_->unit_of(picks.back().unit_slot));
-  }
-  std::uint64_t arena_pos = 0;
-  // One entry per unreachable sample, whichever path notices it.
-  std::unordered_set<std::uint32_t> skipped;
-  for (const auto& pk : picks) {
-    for (std::uint32_t i = 0; i < pk.count; ++i) {
-      const auto& us = pk.unit->samples[pk.first_sample + i];
-      const SampleLocation& loc = fleet_->layout_[us.sample_id];
-      if (arena_pos + loc.len > arena.size()) {
-        throw std::invalid_argument("dlfs_bread: arena too small for batch");
-      }
-      PendingUnit* pun = nullptr;
-      if (use_pf) {
-        const std::size_t uslot = epoch_provider_->unit_of(pk.unit_slot);
-        auto pu = acq_units_.find(uslot);
-        if (pu == acq_units_.end()) {
-          PendingUnit fresh;
-          fresh.unit = co_await prefetcher_->acquire(uslot, *io_core_);
-          const std::size_t begin = uslot * epoch_provider_->group();
-          fresh.slots_left = static_cast<std::uint32_t>(
-              std::min<std::size_t>(begin + epoch_provider_->group(),
-                                    seq_->num_units()) -
-              begin);
-          pu = acq_units_.emplace(uslot, std::move(fresh)).first;
-        }
-        pun = &pu->second;
-      }
-      AcquiredExtent* ax = nullptr;
-      if (pun != nullptr) {
-        for (auto& x : pun->unit.extents) {
-          if (x.key == us.sample_id) {
-            ax = &x;
-            break;
-          }
-        }
-      }
-      bool served = false;
-      if (cache_->valid(us.sample_id)) {
-        SampleHandle h{us.sample_id,
-                       fleet_->directory_.lookup_id(us.sample_id)};
-        co_await charge_lookup();
-        co_await read(h, arena.subspan(arena_pos, loc.len));
-        served = true;
-      } else if (ax != nullptr && !ax->error) {
-        // The daemon already read this sample: the "read" is the
-        // directory walk plus a memcpy out of the prefetched chunks.
-        (void)fleet_->directory_.lookup_id(us.sample_id);
-        co_await charge_lookup();
-        cache_->note_miss();
-        CopyJob job;
-        job.owned_pieces = std::move(ax->buffers);
-        job.piece_lens = piece_lens_of(loc.len, fleet_->config_.chunk_bytes);
-        job.dst = arena.data() + arena_pos;
-        job.cache_sample_id = us.sample_id;
-        co_await engine_->run_copy_inline(*io_core_, std::move(job));
-        ++samples_delivered_;
-        bytes_delivered_ += loc.len;
-        served = true;
-      } else if (ax != nullptr && !is_node_fault(ax->error)) {
-        std::rethrow_exception(ax->error);
-      } else if (!sample_reachable(us.sample_id) &&
-                 !peer_resident(us.sample_id)) {
-        skipped.insert(us.sample_id);
-      } else {
-        // Demand read (never prefetched, elided for a peer, or read-ahead
-        // died on a node fault while a live copy remains): read() tries
-        // the peer cache first and carries the replica failover route. A
-        // peer-resident but unreachable sample that then loses the peer
-        // race fails the engine read with a node fault — caught below, so
-        // the skipped set still counts it exactly once.
-        SampleHandle h{us.sample_id,
-                       fleet_->directory_.lookup_id(us.sample_id)};
-        co_await charge_lookup();
-        try {
-          co_await read(h, arena.subspan(arena_pos, loc.len));
-          served = true;
-        } catch (const IoError& e) {
-          if (e.kind == IoErrorKind::kMedia) throw;
-          skipped.insert(us.sample_id);
-        }
-      }
-      if (pun != nullptr && --pun->slots_left == 0) {
-        acq_units_.erase(epoch_provider_->unit_of(pk.unit_slot));
-      }
-      if (!served) continue;
-      batch.samples.push_back(BatchSample{
-          us.sample_id, fleet_->dataset_->sample(us.sample_id).class_id,
-          static_cast<std::uint32_t>(arena_pos), loc.len});
-      arena_pos += loc.len;
-    }
-  }
-  batch.bytes = arena_pos;
-  batch.samples_skipped = skipped.size();
-  samples_skipped_ += batch.samples_skipped;
-  // read() / the inline copies above already counted samples/bytes.
-  co_return batch;
 }
 
 }  // namespace dlfs::core

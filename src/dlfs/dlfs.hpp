@@ -6,21 +6,22 @@
 // A DlfsFleet is one mounted DLFS job: it owns the shared sample
 // directory, the data layout, the batch plan, the NVMe-oF targets that
 // export every storage node's device, and one DlfsInstance per client.
-// dlfs_mount is collective — the caller spawns mount_participant(p) for
-// every participant and the implementation does what the paper
-// describes: each storage node uploads its shard from the PFS to its
-// NVMe device, builds its slice of the in-memory sample directory, and
-// the slices are all-gathered; each client then attaches a local SPDK
-// queue for its own device and NVMe-oF initiator queues for all others.
+// dlfs_mount is collective — DlfsFleet::mount() runs one participant per
+// node and the implementation does what the paper describes: each
+// storage node uploads its shard from the PFS to its NVMe device, builds
+// its slice of the in-memory sample directory, and the slices are
+// all-gathered; each client then attaches a local SPDK queue for its
+// own device and NVMe-oF initiator queues for all others.
 //
 // A DlfsInstance is one client (one I/O thread pinned to one core — the
 // paper's configuration). It serves:
 //   open(name)        -> handle (directory lookup)
-//   read(handle, dst) -> synchronous sample read (cache-aware; this is
-//                        DLFS-Base when used per sample)
+//   read(handle, dst) -> synchronous sample read (cache-aware)
 //   sequence(seed)    -> install the epoch's global random order
 //   bread(n, arena)   -> read the next n samples of this client's share
 //                        with the configured batching optimizations
+//                        (BatchingMode::kNone: DLFS-Base, one sample at a
+//                        time), always through the prefetcher
 
 #include <cstdint>
 #include <functional>
@@ -114,14 +115,15 @@ struct DlfsConfig {
   std::uint32_t copy_threads = 2;          // SCQ copy-thread pool size
   BatchingMode batching = BatchingMode::kChunkLevel;
   std::size_t cache_chunks = 64;           // sample-cache budget (chunks)
-  // Asynchronous epoch-aware prefetcher (every batching mode and the
-  // record-file path): a per-instance daemon walks the read-unit order
-  // ahead of the consumer and keeps an adaptive window of units in
-  // flight across bread calls, so read-ahead overlaps application
-  // compute instead of inflating bread latency. `prefetch.enabled =
-  // false` falls back to the legacy synchronous read-ahead of
-  // `prefetch.initial_units` units (chunk mode) or pure demand fetching
-  // (sample-level / DLFS-Base), kept as the ablation baseline.
+  // Epoch-aware prefetcher, the only way bread gets bytes (every batching
+  // mode, plus the record-file path): a per-instance daemon walks the
+  // read-unit order ahead of the consumer and keeps an adaptive window of
+  // units in flight across bread calls, so read-ahead overlaps
+  // application compute instead of inflating bread latency.
+  // `prefetch.enabled = false` takes the daemon out: the window never
+  // tops up between breads, each bread issues its own units (plus
+  // `prefetch.initial_units` of read-ahead in chunk mode) and waits for
+  // all of them — the synchronous ablation baseline.
   PrefetcherConfig prefetch{};
   // > 0: store the dataset as TFRecord-style batched files of this many
   // samples each (8-byte length+crc header per record). The directory
@@ -247,8 +249,9 @@ struct InstanceStats {
   // Copy jobs executed on a different core than the one that produced
   // them (each paid DlfsCosts::cross_core_handoff).
   std::uint64_t cross_core_handoffs = 0;
-  // Asynchronous-prefetcher counters (zero-initialized when the
-  // prefetcher is off): resident-at-pick / stall / window telemetry.
+  // Prefetcher counters: resident-at-pick / stall / window telemetry. In
+  // synchronous mode every unit a bread issues counts, and the window
+  // never grows.
   PrefetchStats prefetch{};
   // Self-healing replication telemetry (zero without replication):
   // permanent-loss declarations observed by this instance, samples this
@@ -308,8 +311,9 @@ class DlfsInstance {
   /// (record_file_samples > 0) and points the prefetch daemon at it:
   /// open_file()+read() calls that follow the returned order find their
   /// file already resident. Clients stride the shuffle exactly like
-  /// sequence(). A later sequence() re-targets the daemon back to the
-  /// sample epoch. Returns the file names in streaming order.
+  /// sequence(). It ends the sample epoch — bread and bread_views throw
+  /// until a later sequence() re-targets the daemon back to the samples.
+  /// Returns the file names in streaming order.
   const std::vector<std::string>& sequence_files(std::uint64_t seed);
   [[nodiscard]] const std::vector<std::string>& file_sequence() const {
     return file_order_;
@@ -342,9 +346,9 @@ class DlfsInstance {
   [[nodiscard]] IoEngine& engine() { return *engine_; }
   [[nodiscard]] SampleCache& cache() { return *cache_; }
   [[nodiscard]] const mem::HugePagePool& pool() const { return *pool_; }
-  [[nodiscard]] const Prefetcher* prefetcher() const {
-    return prefetcher_.get();
-  }
+  /// The instance's prefetcher; every instance has one (synchronous when
+  /// prefetch.enabled is off).
+  [[nodiscard]] const Prefetcher& prefetcher() const { return *prefetcher_; }
   /// The client's partial directory view (sharded mount only; nullptr
   /// under the classic full allgather).
   [[nodiscard]] const DirectoryView* directory_view() const {
@@ -368,7 +372,7 @@ class DlfsInstance {
     s.bytes_zero_copy = bytes_zero_copy_;
     for (const auto& [slot, fu] : fetched_) s.view_pins_active += fu.view_pins;
     s.cross_core_handoffs = engine_->cross_core_handoffs();
-    if (prefetcher_) s.prefetch = prefetcher_->stats();
+    s.prefetch = prefetcher_->stats();
     s.nodes_declared_dead = nodes_declared_dead_;
     s.samples_rereplicated = samples_rereplicated_;
     s.repair_bytes = repair_bytes_;
@@ -411,8 +415,6 @@ class DlfsInstance {
   /// to a local-rate walk when no transport path is up (the fault paths
   /// keep their existing skip/failover semantics).
   dlsim::Task<void> charge_remote_lookup(std::uint16_t slot);
-  dlsim::Task<Batch> bread_unbatched(std::size_t max_samples,
-                                     std::span<std::byte> arena);
   /// Frontend charge for one batched call: the real directory tree walks
   /// plus per-sample accounting CPU (shared by bread and bread_views).
   dlsim::Task<void> charge_frontend(
@@ -422,23 +424,27 @@ class DlfsInstance {
   /// resident, or degraded with surviving samples recovered into
   /// FetchedUnit::per_sample (unreachable ones recorded in `skipped`,
   /// media/unknown faults in `*fatal`) — and fires `on_unit_ready(slot)`
-  /// per pick once its unit settles (idempotent callbacks; empty
-  /// std::function when the caller consumes units after the co_await).
-  /// Also drives read-ahead (daemon window or legacy synchronous).
+  /// per pick once its unit settles (empty std::function when the
+  /// caller consumes units after the co_await). In synchronous mode it
+  /// also issues the batch's read-ahead and waits for it.
   dlsim::Task<void> fetch_chunk_units(
-      std::span<const EpochSequence::UnitPicks> picks, bool use_pf,
+      std::span<const EpochSequence::UnitPicks> picks,
       std::unordered_set<std::uint32_t>* skipped, std::exception_ptr* fatal,
       std::function<void(std::size_t)> on_unit_ready);
-  /// Degraded-unit recovery: re-reads this batch's picked samples of
-  /// `slot` individually from their replicas (or the recovered primary)
-  /// into FetchedUnit::per_sample. Non-picked read-ahead slots are
-  /// simply forgotten so a later bread can re-fetch the whole chunk.
+  /// Degraded-unit recovery: re-reads the picked samples of `pick`'s
+  /// unit individually from their replicas (or the recovered primary)
+  /// into FetchedUnit::per_sample.
   dlsim::Task<void> recover_chunk_slot(
-      std::size_t slot, std::span<const EpochSequence::UnitPicks> picks,
-      bool use_pf, std::unordered_set<std::uint32_t>* skipped,
-      std::exception_ptr* fatal);
+      const EpochSequence::UnitPicks& pick,
+      std::unordered_set<std::uint32_t>* skipped, std::exception_ptr* fatal);
+  /// Copy of one chunk-mode sample into `dst`: out of the unit's resident
+  /// chunks, or out of its replica buffers when the unit is degraded.
+  [[nodiscard]] CopyJob chunk_copy_job(const FetchedUnit& fu,
+                                       const UnitSample& us, std::byte* dst,
+                                       dlsim::CountdownLatch* latch) const;
   /// Injected poll-loop compute (Fig. 7b) as a concurrent task; counts
-  /// `done` down when finished (immediately when nothing is injected).
+  /// `done` down when finished (immediately when nothing is injected, or
+  /// when the synchronous prefetcher folds it into this core's waits).
   void spawn_injected(dlsim::CountdownLatch* done);
   /// Node health as every read path sees it: engine transport state AND
   /// the directory's wholesale V bit.
@@ -511,14 +517,15 @@ class DlfsInstance {
   // pressure reliever points at it) is still alive.
   std::unique_ptr<Prefetcher> prefetcher_;
   std::unordered_map<std::size_t, FetchedUnit> fetched_;
-  // Sample-level / unbatched prefetching: acquired units whose samples
-  // span bread calls (a fused unit rarely aligns with batch boundaries).
+  // Sample-level / DLFS-Base: acquired units whose samples span bread
+  // calls (a fused unit rarely aligns with batch boundaries).
   struct PendingUnit {
     AcquiredUnit unit;
     std::uint32_t slots_left = 0;  // epoch slots of the unit not consumed
   };
   std::unordered_map<std::size_t, PendingUnit> acq_units_;
-  // Record-file streaming order (sequence_files).
+  // Record-file streaming order (sequence_files). file_seq_active_: the
+  // daemon streams it, so read() consumes matching files from the window.
   std::vector<std::string> file_order_;
   std::vector<UnitExtent> file_extents_;
   std::size_t file_cursor_ = 0;
@@ -602,16 +609,6 @@ class ViewLease {
   ViewBatch batch_;
 };
 
-/// Options for the consolidated DlfsFleet::mount() entry point.
-struct MountOptions {
-  /// Drive the simulator to completion inside mount(): spawn every
-  /// participant, run, rethrow the first failure, verify the mount
-  /// finished. false = only spawn the participants — for callers that
-  /// must overlap the mount with other scheduled simulator activity
-  /// (they run the simulator themselves and check mounted() after).
-  bool run_to_completion = true;
-};
-
 class DlfsFleet {
  public:
   /// `client_nodes` / `storage_nodes` default to every cluster node (the
@@ -626,16 +623,11 @@ class DlfsFleet {
   DlfsFleet(const DlfsFleet&) = delete;
   DlfsFleet& operator=(const DlfsFleet&) = delete;
 
-  /// dlfs_mount, consolidated: spawns every mount participant internally
-  /// and (by default) runs the simulator until the collective mount
-  /// completes. Call from outside coroutine context. Throws if the mount
-  /// cannot finish. mount_participant() below stays as the advanced
-  /// escape hatch for callers orchestrating participants themselves.
-  void mount(const MountOptions& opts = {});
+  /// dlfs_mount: spawns every mount participant and runs the simulator
+  /// until the collective mount completes. Call from outside coroutine
+  /// context. Throws if the mount cannot finish.
+  void mount();
 
-  /// Collective mount, manual orchestration: spawn one per participant
-  /// p in [0, participants()).
-  [[nodiscard]] dlsim::Task<void> mount_participant(std::uint32_t p);
   [[nodiscard]] std::uint32_t participants() const {
     return static_cast<std::uint32_t>(
         std::max(client_nodes_.size(), storage_nodes_.size()));
@@ -758,6 +750,8 @@ class DlfsFleet {
  private:
   friend class DlfsInstance;
 
+  /// One participant p in [0, participants()) of the collective mount.
+  [[nodiscard]] dlsim::Task<void> mount_participant(std::uint32_t p);
   [[nodiscard]] std::shared_ptr<PrefetchArbiter> arbiter_for(hw::NodeId nid);
   [[nodiscard]] std::shared_ptr<PeerCacheIndex> peer_index_for(hw::NodeId nid);
 

@@ -389,7 +389,6 @@ dlsim::Task<void> IoEngine::finish_extent(dlsim::CpuCore& core,
     }
     op->finished_ = true;
     op->done.set();
-    if (x.on_buffers_ready) x.on_buffers_ready();
   }
 }
 
@@ -677,7 +676,7 @@ dlsim::Task<void> IoEngine::read_one(dlsim::CpuCore& core, std::uint16_t nid,
                                      std::vector<RouteHop> routes) {
   std::vector<ReadExtent> one(1);
   one[0] = ReadExtent{nid,     offset, len, dst, cache_sample_id,
-                      nullptr, {},     std::move(routes)};
+                      nullptr, std::move(routes)};
   co_await read_extents(core, std::move(one));
 }
 

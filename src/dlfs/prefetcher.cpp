@@ -1,6 +1,7 @@
 #include "dlfs/prefetcher.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/units.hpp"
 
@@ -71,7 +72,7 @@ Prefetcher::Prefetcher(dlsim::Simulator& sim, IoEngine& engine,
       std::clamp(cfg_.initial_units, cfg_.min_units, cfg_.max_units);
   stats_.window_target = window_target_;
   core_ = std::make_unique<dlsim::CpuCore>(sim, name);
-  sim.spawn_daemon(daemon_loop(), name);
+  if (cfg_.enabled) sim.spawn_daemon(daemon_loop(), name);
 }
 
 Prefetcher::~Prefetcher() {
@@ -139,7 +140,7 @@ void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs,
     Extent ex;
     ex.key = x.key;
     ex.op = engine_->start_extent(ReadExtent{x.nid, x.offset, x.len, nullptr,
-                                             std::nullopt, nullptr, {},
+                                             std::nullopt, nullptr,
                                              std::move(x.routes)});
     e.extents.push_back(std::move(ex));
   }
@@ -158,10 +159,12 @@ void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs,
   wake_.set();
 }
 
-void Prefetcher::ensure_issued_through(std::size_t slot) {
+void Prefetcher::ensure_issued_through(std::size_t slot,
+                                       std::size_t sync_ahead) {
   if (provider_ == nullptr) return;
   demand_floor_ = std::max(demand_floor_, slot + 1);
-  while (next_issue_ <= slot && next_issue_ < total_units_) {
+  const std::size_t last = cfg_.enabled ? slot : slot + sync_ahead;
+  while (next_issue_ <= last && next_issue_ < total_units_) {
     issue_entry(next_issue_, provider_->unit_extents(next_issue_),
                 /*front=*/false);
     ++next_issue_;
@@ -324,7 +327,7 @@ std::uint32_t Prefetcher::reissue_failed() {
         const ReadExtent& rx = x.op->extent;
         x.op = engine_->start_extent(ReadExtent{rx.nid, rx.offset, rx.len,
                                                 nullptr, std::nullopt, nullptr,
-                                                {}, rx.routes});
+                                                rx.routes});
         ++stats_.units_reissued;
         ++n;
       }
@@ -370,9 +373,9 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
     } else {
       // The window was not deep enough to cover this consumer's
       // inter-arrival time — stall (pumping the engine on the consumer's
-      // core, like a demand fetch) and deepen the window.
+      // core, like a demand fetch) and deepen the daemon's window.
       ++stats_.units_stalled;
-      if (window_target_ < cfg_.max_units) {
+      if (cfg_.enabled && window_target_ < cfg_.max_units) {
         ++window_target_;
         ++stats_.window_grows;
         stats_.window_target = window_target_;
@@ -387,7 +390,8 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
     const dlsim::SimTime t0 = sim_->now();
     for (const auto& op : ops) {
       if (op->finished()) continue;
-      co_await engine_->await_op(consumer_core, op);
+      co_await engine_->await_op(consumer_core, op,
+                                 std::exchange(fold_ns_, 0));
     }
     stats_.stall_ns += sim_->now() - t0;
   }
@@ -409,6 +413,25 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
   }
   wake_.set();  // window space freed; the daemon can read further ahead
   co_return unit;
+}
+
+bool Prefetcher::fold_compute(dlsim::SimDuration d) {
+  if (cfg_.enabled) return false;
+  fold_ns_ += d;
+  return true;
+}
+
+dlsim::Task<void> Prefetcher::settle(dlsim::CpuCore* consumer_core) {
+  if (cfg_.enabled) co_return;
+  while (ExtentOpPtr op = oldest_unfinished()) {
+    co_await engine_->await_op(*consumer_core, op,
+                               std::exchange(fold_ns_, 0));
+  }
+  draining_.clear();
+  // No wait absorbed the folded compute: the polling loop still ran it.
+  if (fold_ns_ > 0) {
+    co_await consumer_core->compute(std::exchange(fold_ns_, 0));
+  }
 }
 
 dlsim::Task<void> Prefetcher::daemon_loop() {

@@ -39,6 +39,12 @@
 //     instance's read-ahead below what it wanted (co-located daemons
 //     competing for one node's huge pages).
 //
+// Synchronous mode (`enabled = false`, the DLFS-Base and ablation
+// baseline) is the same window with the daemon taken out: nothing tops
+// it up between breads. A bread demand-issues its own units (plus any
+// read-ahead it asks for), acquires them on its own core, and settle()s
+// whatever it issued before returning.
+//
 // Failure model: a prefetched extent's IoError is stored on its ExtentOp
 // and handed back *per extent* by acquire() — the daemon never dies on a
 // bad read-ahead, and the consumer routes each extent's error exactly as
@@ -95,20 +101,22 @@ class PrefetchArbiter {
 };
 
 struct PrefetcherConfig {
-  // Off -> no daemon; bread falls back to the legacy synchronous
-  // read-ahead (chunk mode) or pure demand fetching (sample-level /
-  // DLFS-Base), kept as the ablation baseline.
+  // Off -> synchronous mode: no daemon, the window never tops up between
+  // breads; each bread issues its own units (plus `initial_units` of
+  // read-ahead in chunk mode) and returns once all of them have landed.
+  // Kept as the ablation baseline.
   bool enabled = true;
   std::uint32_t min_units = 1;      // adaptive window lower bound
   std::uint32_t max_units = 32;     // adaptive window upper bound
   std::uint32_t initial_units = 4;  // starting window target; also the
-                                    // legacy sync read-ahead depth
+                                    // synchronous chunk read-ahead depth
   // Pool chunks kept free for demand fetches and the sample cache when
   // sizing read-ahead; top_up never takes the pool below this.
   std::uint32_t reserve_chunks = 8;
   // Sample-level / unbatched modes: consecutive epoch slots fused into
   // one read unit, so tiny per-sample extents amortize the window
-  // bookkeeping (chunk mode is always 1 unit = 1 chunk).
+  // bookkeeping (chunk mode is always 1 unit = 1 chunk; synchronous mode
+  // has no window to amortize and reads one-sample units).
   std::uint32_t group_samples = 8;
   // Register with the fleet's per-node PrefetchArbiter so co-located
   // instances share the node's read-ahead budget.
@@ -173,11 +181,29 @@ class Prefetcher {
   /// cancelled) and its buffers are dropped on completion.
   void start_epoch(const ReadUnitProvider* provider);
 
+  /// False in synchronous mode: no daemon reads ahead between breads.
+  [[nodiscard]] bool reads_ahead() const { return cfg_.enabled; }
+
   /// Demand-issues every unit up to and including `slot` that is not
   /// already in the window — bread calls this for its whole pick list
   /// before awaiting anything, so a batch larger than the window still
-  /// fetches all its units concurrently.
-  void ensure_issued_through(std::size_t slot);
+  /// fetches all its units concurrently. In synchronous mode `sync_ahead`
+  /// further units ride along (the bread's own read-ahead); with the
+  /// daemon on it is ignored — the window covers read-ahead.
+  void ensure_issued_through(std::size_t slot, std::size_t sync_ahead = 0);
+
+  /// Synchronous mode: the consumer's core is the only pump, so
+  /// application compute folded into the polling loop (Fig. 7b) is queued
+  /// here and charged inside its next wait — after the first posting
+  /// round, as IoEngine::await_op does — and true is returned. With the
+  /// daemon pumping, returns false: the caller runs the compute beside it.
+  bool fold_compute(dlsim::SimDuration d);
+
+  /// Synchronous mode: pumps the engine on `consumer_core` until every
+  /// issued unit has landed, so nothing stays in flight between breads
+  /// (and charges folded compute no wait absorbed). Returns at once when
+  /// the daemon is on.
+  [[nodiscard]] dlsim::Task<void> settle(dlsim::CpuCore* consumer_core);
 
   /// Hands over unit `slot`'s extents (buffers in on-device order, or a
   /// stored error per failed extent), waiting — and pumping the engine on
@@ -279,6 +305,7 @@ class Prefetcher {
   std::size_t total_units_ = 0;
   std::uint64_t ra_chunks_ = 0;  // sum of window entries' chunks
   std::uint64_t view_pinned_chunks_ = 0;  // held by live ViewBatches
+  dlsim::SimDuration fold_ns_ = 0;  // synchronous mode: see fold_compute
   std::uint32_t window_target_;
   double share_weight_ = 1.0;  // tenant QoS weight for the arbiter split
   PrefetchStats stats_;

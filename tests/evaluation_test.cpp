@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/units.hpp"
 #include "harness.hpp"
 
@@ -79,6 +81,31 @@ TEST(EvaluationClaims, Fig7bComputeOverlapKnee) {
       dlfs::bench::run_dlfs(w, chunked(), 4_ms).samples_per_sec;
   EXPECT_GT(hidden, 0.95 * base);
   EXPECT_LT(hurt, 0.75 * base);
+}
+
+// Ablation read-ahead sweep (ablation_batching) at depth 4: with compute
+// folded into every bread, the async daemon beats the synchronous
+// prefetcher — whose window never tops up between breads — on both the
+// chunk-level 128 KiB and the sample-level 4 KiB sweep.
+TEST(EvaluationClaims, AsyncReadAheadBeatsSyncAtDepth4) {
+  auto sweep = [](BatchingMode mode, std::uint32_t sample_bytes,
+                  std::size_t samples, dlsim::SimDuration compute) {
+    const auto w = small_node_workload(1, sample_bytes, samples);
+    dlfs::core::DlfsConfig cfg;
+    cfg.batching = mode;
+    cfg.prefetch.initial_units = 4;
+    cfg.prefetch.enabled = false;
+    const double sync = dlfs::bench::run_dlfs(w, cfg, compute).samples_per_sec;
+    cfg.prefetch.enabled = true;
+    const double async = dlfs::bench::run_dlfs(w, cfg, compute).samples_per_sec;
+    return std::pair{sync, async};
+  };
+  const auto [chunk_sync, chunk_async] =
+      sweep(BatchingMode::kChunkLevel, 128_KiB, 768, 1500_us);
+  EXPECT_GT(chunk_async, chunk_sync);
+  const auto [sample_sync, sample_async] =
+      sweep(BatchingMode::kSampleLevel, 4096, 8192, 200_us);
+  EXPECT_GT(sample_async, sample_sync);
 }
 
 // Fig. 9: DLFS throughput scales near-linearly from 2 to 8 nodes and

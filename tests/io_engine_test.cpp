@@ -174,24 +174,6 @@ TEST(IoEngine, BuffersHandedOverWhenDstIsNull) {
   EXPECT_EQ(std::memcmp(buffers[0].data(), want.data(), want.size()), 0);
 }
 
-TEST(IoEngine, OnBuffersReadyFiresBeforeBatchEnd) {
-  // Two extents on one device: the first completes first; its hook must
-  // fire while the second is still outstanding.
-  EngineRig rig;
-  std::vector<dlfs::mem::DmaBuffer> b1, b2;
-  bool hook_fired_early = false;
-  std::vector<ReadExtent> xs(2);
-  xs[0] = ReadExtent{0, 0, 256_KiB, nullptr, std::nullopt, &b1, {}};
-  xs[1] = ReadExtent{0, 1_MiB, 256_KiB, nullptr, std::nullopt, &b2, {}};
-  xs[0].on_buffers_ready = [&] {
-    hook_fired_early = b2.empty();  // second extent not yet delivered
-  };
-  rig.read(std::move(xs));
-  EXPECT_TRUE(hook_fired_early);
-  EXPECT_EQ(b1.size(), 1u);
-  EXPECT_EQ(b2.size(), 1u);
-}
-
 TEST(IoEngine, CacheInsertionSetsVBit) {
   EngineRig rig;
   std::vector<std::byte> dst(4096);

@@ -1,16 +1,21 @@
 // Tests for the asynchronous epoch-aware prefetcher: warm-window breads
 // must not stall (chunk and sample-level alike), the adaptive window must
 // shrink under pool pressure, epoch end must drain every pool chunk, the
-// record-file streaming order must warm open_file() reads, co-located
-// instances must share one node's read-ahead budget through the arbiter,
-// and turning the prefetcher on or off must never change what an epoch
-// delivers — only when. The PrefetcherMatrix suite is mode-agnostic: the
-// ctest registration runs it once per BatchingMode via DLFS_TEST_BATCHING.
+// record-file streaming order must warm open_file() reads (and end the
+// sample epoch), co-located instances must share one node's read-ahead
+// budget through the arbiter, the synchronous mode must issue nothing
+// beyond each bread's own units, and turning the daemon on or off must
+// never change what an epoch delivers — only when. The PrefetcherMatrix
+// suite is mode-agnostic: the ctest registration runs it once per
+// BatchingMode via DLFS_TEST_BATCHING.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -293,6 +298,44 @@ TEST(Prefetcher, RecordFileSequenceWarmsWholeFileReads) {
   EXPECT_EQ(cold.units_issued, 0u);
 }
 
+TEST(Prefetcher, SequenceFilesEndsTheSampleEpoch) {
+  // sequence_files() moves the prefetcher to the record files, so the
+  // sample epoch it abandons is over: bread and bread_views throw until a
+  // fresh sequence(), which then delivers a whole epoch with exact bytes.
+  DlfsConfig cfg;
+  cfg.record_file_samples = 8;
+  Rig rig(dlfs::dataset::make_fixed_size_dataset(64, 2048), cfg);
+  rig.mount();
+  auto& inst = rig.fleet.instance(0);
+  inst.sequence(3);
+  (void)inst.sequence_files(5);
+  EXPECT_EQ(inst.epoch_remaining(), 0u);
+  bool bread_threw = false, views_threw = false;
+  rig.sim.spawn([](DlfsInstance& inst, bool& bread_threw,
+                   bool& views_threw) -> Task<void> {
+    std::vector<std::byte> arena(8 * 2048);
+    try {
+      (void)co_await inst.bread(8, arena);
+    } catch (const std::logic_error&) {
+      bread_threw = true;
+    }
+    try {
+      (void)co_await inst.bread_views(8);
+    } catch (const std::logic_error&) {
+      views_threw = true;
+    }
+  }(inst, bread_threw, views_threw));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  EXPECT_TRUE(bread_threw);
+  EXPECT_TRUE(views_threw);
+
+  inst.sequence(4);
+  const auto ids = drain_epoch(rig, inst, 8, /*check_content=*/true);
+  EXPECT_EQ(ids.size(), 64u);
+  EXPECT_EQ(std::set<std::uint32_t>(ids.begin(), ids.end()).size(), 64u);
+}
+
 TEST(Prefetcher, SharedArbiterBoundsCoLocatedReadAhead) {
   // Two instances on one node, each asking for a 16-unit window out of a
   // 16-chunk pool: the shared arbiter caps their combined read-ahead, at
@@ -421,6 +464,55 @@ TEST(PrefetcherMatrix, DeliveryIsIdenticalWithPrefetchOnAndOff) {
   const auto without = run(false);
   EXPECT_EQ(with_prefetcher.size(), 192u);
   EXPECT_EQ(with_prefetcher, without);
+}
+
+TEST(PrefetcherMatrix, SynchronousModeIssuesOnlyEachBreadsUnits) {
+  // prefetch.enabled = false takes the daemon out: the window never tops
+  // up between breads. After every bread the units issued are exactly the
+  // ones the epoch has consumed so far (one-sample units in the sample
+  // modes) — plus, in chunk mode, at most initial_units of the bread's
+  // own read-ahead.
+  const BatchingMode mode = mode_from_env();
+  DlfsConfig cfg;
+  cfg.batching = mode;
+  cfg.prefetch.enabled = false;
+  cfg.prefetch.initial_units = 3;
+  // 64 KiB samples: four per chunk, so a bread of 8 spans two chunks.
+  Rig rig(dlfs::dataset::make_fixed_size_dataset(192, 64_KiB), cfg);
+  rig.mount();
+  auto& inst = rig.fleet.instance(0);
+  inst.sequence(42);
+  std::vector<std::uint64_t> issued;  // units_issued after each bread
+  std::size_t delivered = 0;
+  rig.sim.spawn(
+      [](DlfsInstance& inst, std::vector<std::uint64_t>& issued,
+         std::size_t& delivered) -> Task<void> {
+        std::vector<std::byte> arena(8 * 64_KiB);
+        for (;;) {
+          auto b = co_await inst.bread(8, arena);
+          if (b.end_of_epoch) break;
+          delivered += b.samples.size();
+          issued.push_back(inst.stats().prefetch.units_issued);
+        }
+      }(inst, issued, delivered));
+  rig.sim.run();
+  rig.sim.rethrow_failures();
+  EXPECT_EQ(delivered, 192u);
+
+  // The same walk through the epoch tells which unit each bread ended in.
+  dlfs::core::EpochSequence shadow(rig.fleet.plan(), 42, 0, 1);
+  const std::size_t units = shadow.num_units();
+  ASSERT_EQ(issued.size(), 192u / 8);
+  for (std::size_t i = 0; i < issued.size(); ++i) {
+    const std::size_t through = shadow.take(8).back().unit_slot + 1;
+    if (mode == BatchingMode::kChunkLevel) {
+      EXPECT_GE(issued[i], through) << "bread " << i;
+      EXPECT_LE(issued[i], std::min(through + 3, units)) << "bread " << i;
+    } else {
+      EXPECT_EQ(issued[i], through) << "bread " << i;
+    }
+  }
+  EXPECT_EQ(inst.stats().prefetch.window_grows, 0u);
 }
 
 TEST(PrefetcherMatrix, BackToBackEpochsDeliverEverySample) {
