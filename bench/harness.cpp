@@ -133,6 +133,7 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
     r.prefetch.window_shrinks += ps.window_shrinks;
     r.prefetch.units_dropped += ps.units_dropped;
     r.prefetch.units_reissued += ps.units_reissued;
+    r.prefetch.units_replanned += ps.units_replanned;
     r.prefetch.arbiter_throttles += ps.arbiter_throttles;
     r.prefetch.in_flight_hwm =
         std::max(r.prefetch.in_flight_hwm, ps.in_flight_hwm);
@@ -463,6 +464,7 @@ std::string JsonReport::write() const {
         << ", \"prefetch_window_shrinks\": " << p.window_shrinks
         << ", \"prefetch_units_dropped\": " << p.units_dropped
         << ", \"prefetch_units_reissued\": " << p.units_reissued
+        << ", \"prefetch_units_replanned\": " << p.units_replanned
         << ", \"prefetch_arbiter_throttles\": " << p.arbiter_throttles
         << ", \"prefetch_window_target\": " << p.window_target
         << ", \"io_retries\": " << r.io_retries

@@ -298,6 +298,9 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
       ops.push_back(std::move(op));
       continue;
     }
+    if (!x.dma_target.empty() && x.dma_target.size() < x.len) {
+      throw std::logic_error("start_extents: DMA target shorter than extent");
+    }
     auto op = std::make_shared<ExtentOp>(*sim_, std::move(x));
     std::uint64_t off = op->extent.offset;
     std::uint32_t left = op->extent.len;
@@ -310,7 +313,7 @@ std::vector<ExtentOpPtr> IoEngine::start_extents(
       left -= n;
     }
     op->pieces_total_ = idx;
-    op->buffers_.resize(idx);
+    if (op->extent.dma_target.empty()) op->buffers_.resize(idx);
     op->lens_.resize(idx);
     if (idx == 0) {  // zero-length extent: trivially done
       op->finished_ = true;
@@ -455,7 +458,8 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
           to_post_.pop_front();
           continue;
         }
-        if (pool_->free_chunks() == 0 && !to_post_.front().buffer.valid()) {
+        if (pool_->free_chunks() == 0 && !to_post_.front().buffer.valid() &&
+            to_post_.front().op->extent.dma_target.empty()) {
           bool freed = cache_->evict_one();
           if (!freed && pressure_reliever_) freed = pressure_reliever_();
           if (!freed) {
@@ -488,13 +492,22 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
                      static_cast<std::uint64_t>(p.idx) * config_.chunk_bytes;
         }
       }
-      if (!p.buffer.valid()) p.buffer = pool_->allocate();  // retry keeps its
+      // A borrowed DMA target takes the piece at its chunk-aligned offset;
+      // otherwise the piece posts into its own chunk (a retry keeps it).
+      const std::span<std::byte> target = p.op->extent.dma_target;
+      if (target.empty() && !p.buffer.valid()) p.buffer = pool_->allocate();
+      const std::span<std::byte> dma =
+          target.empty()
+              ? p.buffer.span().subspan(0, p.len)
+              : target.subspan(
+                    static_cast<std::size_t>(p.idx) * config_.chunk_bytes,
+                    p.len);
       ++p.attempts;
       co_await core.compute(cal_->dlfs.prep_request + cal_->dlfs.sq_post);
       const std::uint64_t tag = next_tag_++;
       const auto st = q->submit(
           p.op->extent.write ? spdk::IoOp::kWrite : spdk::IoOp::kRead,
-          p.offset, p.buffer.span().subspan(0, p.len), tag);
+          p.offset, dma, tag);
       if (st == spdk::IoStatus::kQueueFull) {
         // The command never reached the device; hand the QoS grant back.
         if (tenant_) tenant_->cancel_admit(p.len);
@@ -624,7 +637,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
         }
         ++harvested_;
         ExtentOp& op = *p.op;
-        op.buffers_[p.idx] = std::move(p.buffer);
+        if (p.buffer.valid()) op.buffers_[p.idx] = std::move(p.buffer);
         op.lens_[p.idx] = p.len;
         if (++op.pieces_done_ == op.pieces_total_) {
           co_await finish_extent(core, p.op);

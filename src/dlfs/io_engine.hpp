@@ -109,7 +109,9 @@ class IoError : public std::runtime_error {
 /// chunks are retained in the sample cache afterwards (V bit set). If
 /// `dst` is null the chunks are handed back through `out_buffers`, or —
 /// when that is also null — retained on the ExtentOp for take_buffers()
-/// (the prefetcher's read-ahead path).
+/// (the prefetcher's read-ahead path). A non-empty `dma_target` replaces
+/// all of that: the pieces are posted straight into it, no chunk is
+/// allocated and no copy stage runs.
 struct ReadExtent {
   std::uint16_t nid = 0;
   std::uint64_t offset = 0;
@@ -128,6 +130,10 @@ struct ReadExtent {
   // failover routes — a write targets one specific placement, and a dead
   // target fails the op with kNodeDown for the caller to re-plan.
   bool write = false;
+  // Borrowed DMA target: a span (at least `len` bytes) inside a pool
+  // chunk the caller owns and keeps alive until the op finishes — an SGL
+  // read into registered memory. Piece k lands at k * chunk_bytes.
+  std::span<std::byte> dma_target{};
 };
 
 /// Shared state of one in-flight extent read. Created by start_extents();
@@ -148,8 +154,8 @@ class ExtentOp {
   [[nodiscard]] std::exception_ptr error() const { return error_; }
 
   /// Chunk buffers of a buffer-handover extent (dst == nullptr,
-  /// out_buffers == nullptr), in on-device order. Transfers ownership;
-  /// call once, after done.
+  /// out_buffers == nullptr, no dma_target), in on-device order.
+  /// Transfers ownership; call once, after done.
   [[nodiscard]] std::vector<mem::DmaBuffer> take_buffers() {
     return std::move(buffers_);
   }

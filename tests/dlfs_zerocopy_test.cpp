@@ -312,6 +312,61 @@ TEST(ZeroCopyBread, LastReleaseRecyclesTheChunk) {
   EXPECT_EQ(inst.stats().view_pins_active, 0u);
 }
 
+TEST(ZeroCopyBread, ViewPinnedChunksMatchPoolAcrossFailover) {
+  // A storage node crashes while every batch of the epoch stays leased;
+  // the dead node's units are re-planned from replicas into one landing
+  // chunk each. Once the epoch is read the window is empty, so every
+  // pool chunk in use belongs to a pinned unit: the arbiter's view-pinned
+  // count must equal them — one chunk per unit, replica-planned or not —
+  // and drop to 0 once the views are released.
+  using namespace dlsim::literals;
+  Simulator sim;
+  dlfs::cluster::Cluster cluster(sim, 3, Rig::node_cfg());
+  const auto ds = dlfs::dataset::make_fixed_size_dataset(2048, 4096);
+  dlfs::cluster::Pfs pfs(sim, ds);
+  DlfsConfig cfg;
+  cfg.batching = BatchingMode::kChunkLevel;
+  cfg.fault.replication = 2;
+  cfg.fault.nvmf.command_timeout = 5_ms;
+  cfg.fault.nvmf.reconnect_backoff = 200_us;
+  cfg.fault.nvmf.reconnect_backoff_max = 1_ms;
+  cfg.fault.nvmf.reconnect_attempts = 4;
+  DlfsFleet fleet(cluster, pfs, ds, cfg, /*client_nodes=*/{2},
+                  /*storage_nodes=*/{0, 1});
+  fleet.mount();
+  auto& inst = fleet.instance(0);
+  inst.sequence(1);
+  std::size_t served = 0;
+  std::size_t used_while_held = 0;
+  std::uint64_t pinned_while_held = 0;
+  sim.spawn(
+      [](DlfsFleet& f, DlfsInstance& inst, std::size_t& served,
+         std::size_t& used, std::uint64_t& pinned) -> Task<void> {
+        std::vector<ViewLease> held;
+        for (;;) {
+          if (held.size() == 4) f.target(0)->crash();
+          ViewBatch b = co_await inst.bread_views(64);
+          if (b.end_of_epoch) break;
+          served += b.samples.size();
+          held.emplace_back(inst, std::move(b));
+        }
+        used = inst.pool().used_chunks();
+        pinned = inst.prefetcher().view_pinned_chunks();
+        held.clear();  // every lease releases its views
+      }(fleet, inst, served, used_while_held, pinned_while_held),
+      "leased-failover-epoch");
+  sim.run_watchdog(sim.now() + 2_sec);
+  sim.rethrow_failures();
+  EXPECT_EQ(served, 2048u);
+  EXPECT_GT(inst.prefetcher().stats().units_replanned, 0u);
+  EXPECT_EQ(pinned_while_held, used_while_held);
+  EXPECT_EQ(pinned_while_held,
+            dlfs::core::EpochSequence(fleet.plan(), 1, 0, 1).num_units());
+  EXPECT_EQ(inst.prefetcher().view_pinned_chunks(), 0u);
+  EXPECT_EQ(inst.pool().used_chunks(), 0u);
+  EXPECT_EQ(inst.stats().view_pins_active, 0u);
+}
+
 TEST(ZeroCopyBread, UseAfterReleaseIsCaughtByScribble) {
   // scribble_on_free turns a stale view into detectable garbage: freed
   // chunks are 0xDD-filled (and ASan-poisoned when built with ASan, so
