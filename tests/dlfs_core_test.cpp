@@ -558,6 +558,47 @@ TEST(EpochSequence, ExhaustionReturnsShortThenEmpty) {
   EXPECT_TRUE(seq.take(8).empty());
 }
 
+TEST(EpochUnitProvider, DownHomePlansChunkUnitFromReplicas) {
+  // Two storage nodes, one 256 KiB chunk each. Node 0 is down: its chunk
+  // unit becomes one extent per sample that has a live copy, starting at
+  // that copy, placed at the sample's offset in the unit. Node 3 is down
+  // too, so a sample routed only through it has no live copy.
+  using dlfs::core::RouteHop;
+  auto layout = uniform_layout(128, 4096, 2);
+  BatchPlan plan(layout, 256_KiB, BatchingMode::kChunkLevel);
+  EpochSequence seq(plan, 5, 0, 1);
+  ASSERT_EQ(seq.num_units(), 2u);
+  auto routes = [](std::uint32_t id) {
+    std::vector<RouteHop> r{RouteHop{3, id * 4096ull}};
+    if (id % 8 != 0) r.push_back(RouteHop{2, id * 4096ull});
+    return r;
+  };
+  auto live = [](std::uint16_t nid) { return nid != 0 && nid != 3; };
+  dlfs::core::EpochUnitProvider provider(seq, 1, nullptr, routes, {}, live);
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    const ReadUnit* u = seq.unit_at(slot);
+    const auto xs = provider.unit_extents(slot);
+    if (u->nid != 0) {
+      ASSERT_EQ(xs.size(), 1u);
+      EXPECT_EQ(xs[0].key, slot);
+      EXPECT_EQ(xs[0].offset, u->offset);
+      EXPECT_FALSE(xs[0].placement.has_value());
+      continue;
+    }
+    // Node 0 holds the even ids; the 16 multiples of 8 have no live copy.
+    ASSERT_EQ(xs.size(), 48u);
+    for (const auto& x : xs) {
+      EXPECT_NE(x.key % 8, 0u);
+      EXPECT_EQ(x.nid, 2u);
+      EXPECT_EQ(x.offset, x.key * 4096);
+      EXPECT_TRUE(x.routes.empty());
+      ASSERT_TRUE(x.placement.has_value());
+      EXPECT_EQ(*x.placement, layout[x.key].offset - u->offset);
+      EXPECT_EQ(x.len, 4096u);
+    }
+  }
+}
+
 TEST(EpochSequence, SamplePositionsFollowTheSharedShuffle) {
   // Client c of k reads global rank j*k + c at its slot j: every client
   // can tell when any sample is next read fleet-wide.

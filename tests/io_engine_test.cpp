@@ -77,6 +77,31 @@ TEST(IoEngine, SingleExtentCopiesExactBytes) {
   EXPECT_EQ(std::memcmp(dst.data(), want.data(), want.size()), 0);
 }
 
+TEST(IoEngine, BorrowedDmaTargetLandsInPlaceWithoutChunkOrCopy) {
+  // Three extents post straight into spans of one caller-owned chunk: no
+  // chunk is allocated for them, nothing is copied, and each extent's
+  // bytes sit at its offset in that chunk.
+  EngineRig rig;
+  auto landing = rig.pool.allocate();
+  const std::uint32_t offs[] = {0, 5000, 70000};
+  std::vector<ReadExtent> xs;
+  for (const std::uint32_t o : offs) {
+    ReadExtent x{0, 1_MiB + o, 3000, nullptr, std::nullopt, nullptr};
+    x.dma_target = landing.span().subspan(o);
+    xs.push_back(std::move(x));
+  }
+  rig.read(std::move(xs));
+  EXPECT_EQ(rig.pool.used_chunks(), 1u);
+  EXPECT_EQ(rig.pool.peak_used_chunks(), 1u);
+  EXPECT_EQ(rig.engine->bytes_copied(), 0u);
+  std::vector<std::byte> want(3000);
+  for (const std::uint32_t o : offs) {
+    rig.devices[0]->store().read(1_MiB + o, want);
+    EXPECT_EQ(std::memcmp(landing.data() + o, want.data(), want.size()), 0)
+        << "extent at " << o;
+  }
+}
+
 TEST(IoEngine, LargeExtentSplitsIntoChunkRequests) {
   EngineRig rig;
   std::vector<std::byte> dst(1_MiB);
