@@ -518,17 +518,28 @@ TEST(PrefetcherMatrix, SynchronousModeIssuesOnlyEachBreadsUnits) {
 TEST(PrefetcherMatrix, BackToBackEpochsDeliverEverySample) {
   // Two epochs through one instance: the second epoch re-targets the
   // daemon (and, in the sample modes, elides cache-resident extents at
-  // issue time) yet still delivers every sample with exact content.
-  DlfsConfig cfg;
-  cfg.batching = mode_from_env();
-  Rig rig(dlfs::dataset::make_fixed_size_dataset(192, 4096), cfg);
-  rig.mount();
-  auto& inst = rig.fleet.instance(0);
-  inst.sequence(1);
-  EXPECT_EQ(drain_epoch(rig, inst, 8, /*check_content=*/true).size(), 192u);
-  inst.sequence(2);
-  EXPECT_EQ(drain_epoch(rig, inst, 8, /*check_content=*/true).size(), 192u);
-  EXPECT_EQ(inst.stats().samples_delivered, 384u);
+  // issue time) yet still delivers every sample with exact content. A
+  // batch of 5 does not divide group_samples (8), so in the sample modes
+  // fused read units span breads. Once an epoch is drained no acquired
+  // unit may outlive it: the only pool chunks still in use are the
+  // sample cache's, and no view pins remain.
+  for (const std::size_t batch : {std::size_t{8}, std::size_t{5}}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    DlfsConfig cfg;
+    cfg.batching = mode_from_env();
+    Rig rig(dlfs::dataset::make_fixed_size_dataset(192, 4096), cfg);
+    rig.mount();
+    auto& inst = rig.fleet.instance(0);
+    for (const std::uint64_t seed : {1u, 2u}) {
+      inst.sequence(seed);
+      EXPECT_EQ(drain_epoch(rig, inst, batch, /*check_content=*/true).size(),
+                192u);
+      EXPECT_EQ(inst.pool().used_chunks(), inst.cache().resident_chunks())
+          << "epoch " << seed;
+      EXPECT_EQ(inst.stats().view_pins_active, 0u) << "epoch " << seed;
+    }
+    EXPECT_EQ(inst.stats().samples_delivered, 384u);
+  }
 }
 
 }  // namespace
