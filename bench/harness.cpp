@@ -134,7 +134,6 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
     r.prefetch.units_dropped += ps.units_dropped;
     r.prefetch.units_reissued += ps.units_reissued;
     r.prefetch.units_replanned += ps.units_replanned;
-    r.prefetch.arbiter_throttles += ps.arbiter_throttles;
     r.prefetch.in_flight_hwm =
         std::max(r.prefetch.in_flight_hwm, ps.in_flight_hwm);
     r.prefetch.window_target =
@@ -465,7 +464,6 @@ std::string JsonReport::write() const {
         << ", \"prefetch_units_dropped\": " << p.units_dropped
         << ", \"prefetch_units_reissued\": " << p.units_reissued
         << ", \"prefetch_units_replanned\": " << p.units_replanned
-        << ", \"prefetch_arbiter_throttles\": " << p.arbiter_throttles
         << ", \"prefetch_window_target\": " << p.window_target
         << ", \"io_retries\": " << r.io_retries
         << ", \"io_timeouts\": " << r.transport.timeouts

@@ -95,10 +95,10 @@ struct RunResult {
   std::uint64_t repair_bytes = 0;
   std::uint64_t repair_throttles = 0;
   // Multi-tenant QoS and sharded-directory counters, summed over
-  // clients: batch deliveries deferred by the token-bucket arbiter, the
-  // directory view's hit/miss split, and bytes of directory fill
-  // traffic. (tools/dlfslint/telemetry_check enforces that every
-  // InstanceStats counter reaches this struct and the json report.)
+  // clients: posting-loop stalls where the WFQ tenant governor refused
+  // admission, the directory view's hit/miss split, and bytes of
+  // directory fill traffic. (tools/dlfslint/telemetry_check enforces that
+  // every InstanceStats counter reaches this struct and the json report.)
   std::uint64_t qos_deferrals = 0;
   core::DirectoryViewStats directory{};
   std::uint64_t directory_bytes = 0;

@@ -232,7 +232,7 @@ DlfsFleet::DlfsFleet(cluster::Cluster& cluster, cluster::Pfs& pfs,
   if (config_.peer_cache.enabled) {
     // Cooperative peer cache: one cluster-wide consistent-hash directory
     // of advertised residency. The per-node member indexes grow lazily
-    // (peer_index_for) as instances mount, like the prefetch arbiters.
+    // (peer_index_for) as instances mount.
     peer_directory_ = std::make_shared<PeerCacheDirectory>(
         config_.peer_cache, static_cast<std::uint32_t>(client_nodes_.size()));
   }
@@ -505,16 +505,6 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
       "dlfs-prefetch-" + std::to_string(client_idx));
   engine_->set_pressure_reliever(
       [this] { return prefetcher_->relieve_pressure(); });
-  if (fleet.tenant_) {
-    // The arbiter splits a node's prefetch budget by weight × window
-    // target, so a tenant's read-ahead share follows its QoS weight.
-    prefetcher_->set_share_weight(
-        TenantGovernor::effective_weight(fleet.tenant_->qos()));
-  }
-  if (cfg.prefetch.shared_arbiter) {
-    arbiter_ = fleet.arbiter_for(fleet.client_nodes_[client_idx]);
-    prefetcher_->set_arbiter(arbiter_);
-  }
   if (cfg.peer_cache.enabled) {
     // Cooperative peer cache: join the node's member index so co-located
     // instances can serve out of this cache, and mirror V-bit flips into
@@ -538,12 +528,6 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
           }
         });
   }
-}
-
-std::shared_ptr<PrefetchArbiter> DlfsFleet::arbiter_for(hw::NodeId nid) {
-  auto& a = arbiters_[nid];
-  if (!a) a = std::make_shared<PrefetchArbiter>();
-  return a;
 }
 
 std::shared_ptr<PeerCacheIndex> DlfsFleet::peer_index_for(hw::NodeId nid) {
@@ -1561,13 +1545,7 @@ dlsim::Task<void> DlfsInstance::consume(std::size_t max_samples,
       maybe_release_unit(uslot);  // its spans' copies have landed
       continue;
     }
-    FetchedUnit& fu = fetched_.at(uslot);
-    if (++fu.view_pins == 1) {
-      // First pin: the unit's chunks now sit outside the prefetcher's
-      // window but still occupy the pool; tell the arbiter.
-      prefetcher_->note_view_pins(
-          static_cast<std::int64_t>(fu.buffers.size()));
-    }
+    ++fetched_.at(uslot).view_pins;
     views->pinned_slots.push_back(uslot);
   }
   meta.samples_skipped = skipped.size();
@@ -1613,12 +1591,7 @@ void DlfsInstance::release_views(ViewBatch& batch) {
     if (it->second.view_pins == 0) {
       throw std::logic_error("release_views: pin underflow");
     }
-    if (--it->second.view_pins == 0) {
-      // Last pin gone: the chunks leave the view-pinned pool share
-      // (whether or not the unit itself is released below).
-      prefetcher_->note_view_pins(
-          -static_cast<std::int64_t>(it->second.buffers.size()));
-    }
+    --it->second.view_pins;
     maybe_release_unit(slot);
   }
   batch.pinned_slots.clear();

@@ -510,13 +510,12 @@ class DlfsInstance {
   // Sharded mount only: this client's partial directory view (partition
   // map + resident shards + lookup caches). Null under kFull.
   std::unique_ptr<DirectoryView> view_;
-  // Providers and the arbiter are declared before prefetcher_ (and the
-  // sequence below them): the daemon holds raw pointers into them, so
-  // they must outlive it on destruction.
+  // Providers are declared before prefetcher_ (and the sequence below
+  // them): the daemon holds raw pointers into them, so they must outlive
+  // it on destruction.
   std::optional<EpochSequence> seq_;
   std::unique_ptr<EpochUnitProvider> epoch_provider_;
   std::unique_ptr<ExtentListProvider> file_provider_;
-  std::shared_ptr<PrefetchArbiter> arbiter_;
   // Declared after engine_: destroyed first, while the engine (whose
   // pressure reliever points at it) is still alive.
   std::unique_ptr<Prefetcher> prefetcher_;
@@ -692,14 +691,6 @@ class DlfsFleet {
     return record_files_;
   }
 
-  /// The shared per-node prefetch arbiter (created lazily when a mounted
-  /// instance opts in via `prefetch.shared_arbiter`); nullptr when no
-  /// instance on `nid` registered.
-  [[nodiscard]] PrefetchArbiter* arbiter(hw::NodeId nid) const {
-    auto it = arbiters_.find(nid);
-    return it == arbiters_.end() ? nullptr : it->second.get();
-  }
-
   /// The per-node cooperative cache index (created lazily when a mounted
   /// instance has peer_cache.enabled); nullptr when no instance on `nid`
   /// registered.
@@ -753,7 +744,6 @@ class DlfsFleet {
 
   /// One participant p in [0, participants()) of the collective mount.
   [[nodiscard]] dlsim::Task<void> mount_participant(std::uint32_t p);
-  [[nodiscard]] std::shared_ptr<PrefetchArbiter> arbiter_for(hw::NodeId nid);
   [[nodiscard]] std::shared_ptr<PeerCacheIndex> peer_index_for(hw::NodeId nid);
 
   /// Picks the deterministic replacement for a new copy of `sample_id` —
@@ -797,13 +787,10 @@ class DlfsFleet {
   std::vector<std::vector<RecordFileInfo>> record_files_;  // per slot
   std::unique_ptr<BatchPlan> plan_;
   std::vector<std::unique_ptr<spdk::NvmfTarget>> targets_;  // per slot
-  // Per-node read-ahead arbiters for co-located instances (opt-in).
-  std::unordered_map<hw::NodeId, std::shared_ptr<PrefetchArbiter>> arbiters_;
   // Cooperative peer cache (config.peer_cache.enabled): per-node member
-  // indexes, registered alongside the arbiters, and the cluster-wide
-  // consistent-hash cache directory. Declared before instances_ —
-  // ~DlfsInstance unregisters from both, so they must outlive the
-  // instances during fleet destruction.
+  // indexes and the cluster-wide consistent-hash cache directory.
+  // Declared before instances_ — ~DlfsInstance unregisters from both, so
+  // they must outlive the instances during fleet destruction.
   std::unordered_map<hw::NodeId, std::shared_ptr<PeerCacheIndex>> peer_indexes_;
   std::shared_ptr<PeerCacheDirectory> peer_directory_;
   std::vector<std::unique_ptr<DlfsInstance>> instances_;

@@ -30,14 +30,14 @@
 //   * target starts at clamp(initial_units, min, max) and grows by one
 //     on every acquire() that had to stall — a stall means the window was
 //     not deep enough to cover the consumer's inter-arrival time;
-//   * it shrinks when the huge-page pool cannot hold more read-ahead
-//     (top_up blocked with less than `reserve_chunks` headroom), when the
+//   * it shrinks when top_up finds the instance's own huge-page pool
+//     unable to hold the next unit beyond `kReserveChunks` of headroom
+//     (the target drops to the depth actually sustained), and when the
 //     engine invokes the pressure reliever — pool exhausted and
 //     SampleCache::evict_one() found no unpinned entry to yield — in
 //     which case the farthest resident, unconsumed unit is dropped and
-//     its chunks returned, and when a shared PrefetchArbiter caps this
-//     instance's read-ahead below what it wanted (co-located daemons
-//     competing for one node's huge pages).
+//     its chunks returned. Each instance owns its pool, so co-located
+//     instances never compete for one read-ahead budget.
 //
 // Synchronous mode (`enabled = false`, the DLFS-Base and ablation
 // baseline) is the same window with the daemon taken out: nothing tops
@@ -54,7 +54,6 @@
 // from replicas by the provider and lands in one pool chunk the window
 // entry owns, so the consumer reads it like any resident unit.
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -71,38 +70,6 @@
 
 namespace dlfs::core {
 
-class Prefetcher;
-
-/// Divides one node's read-ahead budget among the co-located instances'
-/// prefetch daemons. Each daemon, before topping its window up, asks for
-/// its chunk allowance: the node-wide headroom (every member pool's free
-/// chunks beyond its reserve, plus chunks already held as read-ahead)
-/// split proportionally to the members' adaptive window targets — an
-/// instance that stalls often grows its target and thereby its share,
-/// while an instance coasting on a shallow window yields huge pages to
-/// its neighbours instead of each daemon shrinking blindly on local
-/// pool pressure alone. An instance's allowance never exceeds what its
-/// own pool can actually hold, and never starves below one unit.
-class PrefetchArbiter {
- public:
-  PrefetchArbiter() = default;
-  PrefetchArbiter(const PrefetchArbiter&) = delete;
-  PrefetchArbiter& operator=(const PrefetchArbiter&) = delete;
-
-  void register_member(Prefetcher& p);
-  void unregister_member(Prefetcher& p);
-  [[nodiscard]] std::size_t members() const { return members_.read()->size(); }
-
-  /// Chunks `p` may hold as read-ahead right now.
-  [[nodiscard]] std::uint64_t chunk_allowance(const Prefetcher& p) const;
-
- private:
-  // Checked: the membership list is read by every co-located daemon's
-  // top-up and mutated from instance setup/teardown; the ledger proves
-  // no daemon is suspended mid-budget-split while the fleet mutates it.
-  dlsim::Checked<std::vector<Prefetcher*>> members_{"prefetch-arbiter"};
-};
-
 struct PrefetcherConfig {
   // Off -> synchronous mode: no daemon, the window never tops up between
   // breads; each bread issues its own units (plus `initial_units` of
@@ -113,17 +80,11 @@ struct PrefetcherConfig {
   std::uint32_t max_units = 32;     // adaptive window upper bound
   std::uint32_t initial_units = 4;  // starting window target; also the
                                     // synchronous chunk read-ahead depth
-  // Pool chunks kept free for demand fetches and the sample cache when
-  // sizing read-ahead; top_up never takes the pool below this.
-  std::uint32_t reserve_chunks = 8;
   // Sample-level / unbatched modes: consecutive epoch slots fused into
   // one read unit, so tiny per-sample extents amortize the window
   // bookkeeping (chunk mode is always 1 unit = 1 chunk; synchronous mode
   // has no window to amortize and reads one-sample units).
   std::uint32_t group_samples = 8;
-  // Register with the fleet's per-node PrefetchArbiter so co-located
-  // instances share the node's read-ahead budget.
-  bool shared_arbiter = false;
 };
 
 struct PrefetchStats {
@@ -139,7 +100,6 @@ struct PrefetchStats {
   // Chunk units planned from replicas because their home node was down:
   // issued degraded, or re-planned after their read-ahead failed.
   std::uint64_t units_replanned = 0;
-  std::uint64_t arbiter_throttles = 0;  // top-ups capped by the arbiter
   std::uint32_t window_target = 0;   // current adaptive target
 };
 
@@ -169,16 +129,6 @@ class Prefetcher {
 
   Prefetcher(const Prefetcher&) = delete;
   Prefetcher& operator=(const Prefetcher&) = delete;
-
-  /// Joins / leaves a shared per-node arbiter (unregisters on destruction).
-  void set_arbiter(std::shared_ptr<PrefetchArbiter> arbiter);
-
-  /// Tenant QoS weight applied to this instance's arbiter share: the
-  /// budget splits by weight × window target, so a high-priority job's
-  /// read-ahead window follows its bandwidth share instead of competing
-  /// symmetrically with a background job on the same node.
-  void set_share_weight(double w);
-  [[nodiscard]] double share_weight() const { return share_weight_; }
 
   /// Installs a new read-unit order. Unfinished read-ahead from the
   /// previous order keeps draining in the background (extents cannot be
@@ -237,25 +187,7 @@ class Prefetcher {
 
   [[nodiscard]] const PrefetchStats& stats() const { return stats_; }
   [[nodiscard]] dlsim::CpuCore& core() { return *core_; }
-  [[nodiscard]] std::size_t window_size() const;
   [[nodiscard]] std::uint32_t window_target() const { return window_target_; }
-  // Arbiter inputs: chunks currently held by the window as read-ahead,
-  // and this instance's pool headroom beyond its configured reserve.
-  [[nodiscard]] std::uint64_t readahead_chunks() const { return ra_chunks_; }
-  [[nodiscard]] std::uint64_t pool_headroom_chunks() const;
-
-  /// Zero-copy consumers: pool chunks of already-acquired units that live
-  /// ViewBatches still pin. They are read-ahead *output* the instance has
-  /// not given back, so they count against its arbiter share — otherwise
-  /// a co-located daemon would size its window as if those huge pages
-  /// were reclaimable by consumption.
-  void note_view_pins(std::int64_t delta_chunks) {
-    view_pinned_chunks_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(view_pinned_chunks_) + delta_chunks);
-  }
-  [[nodiscard]] std::uint64_t view_pinned_chunks() const {
-    return view_pinned_chunks_;
-  }
 
  private:
   struct Extent {
@@ -272,27 +204,22 @@ class Prefetcher {
     bool replanned = false;  // its first acquire already counted the pick
   };
 
-  // The in-flight window, sharded by slot. Each shard is its own Checked
-  // deque (slot order within a shard; shard front = next to consume), so
-  // the daemon's top-up touching slot s and a consumer acquiring slot t
-  // form disjoint critical slices whenever s % kWindowShards !=
-  // t % kWindowShards — only same-shard overlap would trip the ledger.
-  // Operations that need a cross-window view (farthest entry, oldest
-  // unfinished, total size) visit the shards one guard at a time.
-  static constexpr std::size_t kWindowShards = 4;
-  using WindowShard = dlsim::Checked<std::deque<Entry>>;
+  // Pool chunks kept free for demand fetches and the sample cache when
+  // sizing read-ahead; top_up never takes the pool below this.
+  static constexpr std::uint64_t kReserveChunks = 8;
 
-  [[nodiscard]] WindowShard& shard_for(std::size_t slot) {
-    return window_shards_[slot % kWindowShards];
+  [[nodiscard]] std::size_t window_size() const {
+    return window_.read()->size();
   }
-
   [[nodiscard]] static std::uint64_t extents_chunks(
       const std::vector<UnitExtent>& xs, std::uint64_t chunk_bytes);
-  /// Issues unit `slot` into its shard (self-guarded; reentrant from a
-  /// caller already holding that shard's guard — same-task slices nest).
-  /// Placed extents land in one pool chunk allocated here; a demand issue
-  /// that finds the pool empty sheds read-ahead first.
-  void issue_entry(std::size_t slot, std::vector<UnitExtent> xs, bool front);
+  /// Issues unit `slot` into the window at its slot position
+  /// (self-guarded; reentrant from a caller already holding the window's
+  /// guard — same-task slices nest). Placed extents land in one pool chunk
+  /// allocated here; a demand issue that finds the pool empty sheds
+  /// read-ahead first.
+  void issue_entry(std::size_t slot, std::vector<UnitExtent> xs,
+                   bool replanned = false);
   /// Moves `e`'s unfinished extents, with its landing chunk, to draining_
   /// (extents cannot be cancelled); finished ones drop their buffers.
   void drain(Entry&& e);
@@ -308,19 +235,16 @@ class Prefetcher {
   std::unique_ptr<dlsim::CpuCore> core_;
   dlsim::Event wake_;
   const ReadUnitProvider* provider_ = nullptr;
-  std::shared_ptr<PrefetchArbiter> arbiter_;
-  std::array<WindowShard, kWindowShards> window_shards_{
-      WindowShard{"prefetch-window-0"}, WindowShard{"prefetch-window-1"},
-      WindowShard{"prefetch-window-2"}, WindowShard{"prefetch-window-3"}};
+  // The in-flight window in slot order (front = next to consume).
+  // Checked: the daemon's top-up and a consumer's acquire both mutate it;
+  // acquire ends its slices before it awaits, so they never overlap.
+  dlsim::Checked<std::deque<Entry>> window_{"prefetch-window"};
   std::vector<Entry> draining_;  // abandoned entries' unfinished extents
   std::size_t next_issue_ = 0;
   std::size_t demand_floor_ = 0;  // one past the highest demanded slot
   std::size_t total_units_ = 0;
-  std::uint64_t ra_chunks_ = 0;  // sum of window entries' chunks
-  std::uint64_t view_pinned_chunks_ = 0;  // held by live ViewBatches
   dlsim::SimDuration fold_ns_ = 0;  // synchronous mode: see fold_compute
   std::uint32_t window_target_;
-  double share_weight_ = 1.0;  // tenant QoS weight for the arbiter split
   PrefetchStats stats_;
   std::exception_ptr daemon_error_{};
   bool shutdown_ = false;

@@ -141,7 +141,6 @@ class SampleCache {
   [[nodiscard]] std::size_t resident_samples() const;
   [[nodiscard]] std::size_t resident_chunks() const;
   [[nodiscard]] std::size_t capacity_chunks() const { return capacity_; }
-  [[nodiscard]] static constexpr std::size_t num_shards() { return kShards; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
   /// Inserts a full cache declined, keeping its resident entries.
@@ -201,7 +200,7 @@ class SampleCache {
 };
 
 /// PeerCacheIndex: the intra-node half of the cooperative cache. One per
-/// *client node*, registered on the fleet alongside the PrefetchArbiter:
+/// *client node*, registered on the fleet (DlfsFleet::peer_index_for):
 /// every co-located DlfsInstance registers its SampleCache (and the I/O
 /// core its peer serves are charged to), so a sample resident in any
 /// local instance is a local hit for all of them — UnifyFS-style

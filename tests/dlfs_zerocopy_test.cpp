@@ -316,9 +316,9 @@ TEST(ZeroCopyBread, ViewPinnedChunksMatchPoolAcrossFailover) {
   // A storage node crashes while every batch of the epoch stays leased;
   // the dead node's units are re-planned from replicas into one landing
   // chunk each. Once the epoch is read the window is empty, so every
-  // pool chunk in use belongs to a pinned unit: the arbiter's view-pinned
-  // count must equal them — one chunk per unit, replica-planned or not —
-  // and drop to 0 once the views are released.
+  // pool chunk in use belongs to a pinned unit — one chunk per unit,
+  // replica-planned or not — and the pool is empty once the views are
+  // released.
   using namespace dlsim::literals;
   Simulator sim;
   dlfs::cluster::Cluster cluster(sim, 3, Rig::node_cfg());
@@ -338,10 +338,9 @@ TEST(ZeroCopyBread, ViewPinnedChunksMatchPoolAcrossFailover) {
   inst.sequence(1);
   std::size_t served = 0;
   std::size_t used_while_held = 0;
-  std::uint64_t pinned_while_held = 0;
   sim.spawn(
       [](DlfsFleet& f, DlfsInstance& inst, std::size_t& served,
-         std::size_t& used, std::uint64_t& pinned) -> Task<void> {
+         std::size_t& used) -> Task<void> {
         std::vector<ViewLease> held;
         for (;;) {
           if (held.size() == 4) f.target(0)->crash();
@@ -351,18 +350,15 @@ TEST(ZeroCopyBread, ViewPinnedChunksMatchPoolAcrossFailover) {
           held.emplace_back(inst, std::move(b));
         }
         used = inst.pool().used_chunks();
-        pinned = inst.prefetcher().view_pinned_chunks();
         held.clear();  // every lease releases its views
-      }(fleet, inst, served, used_while_held, pinned_while_held),
+      }(fleet, inst, served, used_while_held),
       "leased-failover-epoch");
   sim.run_watchdog(sim.now() + 2_sec);
   sim.rethrow_failures();
   EXPECT_EQ(served, 2048u);
   EXPECT_GT(inst.prefetcher().stats().units_replanned, 0u);
-  EXPECT_EQ(pinned_while_held, used_while_held);
-  EXPECT_EQ(pinned_while_held,
+  EXPECT_EQ(used_while_held,
             dlfs::core::EpochSequence(fleet.plan(), 1, 0, 1).num_units());
-  EXPECT_EQ(inst.prefetcher().view_pinned_chunks(), 0u);
   EXPECT_EQ(inst.pool().used_chunks(), 0u);
   EXPECT_EQ(inst.stats().view_pins_active, 0u);
 }
@@ -400,17 +396,17 @@ TEST(ZeroCopyBread, UseAfterReleaseIsCaughtByScribble) {
 }
 
 TEST(ZeroCopyBread, CoLocatedInstancesCompleteWithPinnedUnits) {
-  // Regression for the arbiter/pinned-unit budget: two instances share
-  // one node, each double-buffering view batches (the previous batch
-  // stays pinned across the next bread_views). Pinned chunks must count
-  // against the read-ahead allowance — if they did not, top-ups sized
-  // for the nominal pool would exhaust it and the epoch would die with
-  // PoolExhausted instead of throttling.
+  // Two instances share one node, each double-buffering view batches
+  // (the previous batch stays pinned across the next bread_views), each
+  // out of its own 24-chunk pool. Pinned chunks are no longer free, so
+  // every top-up sees them as lost headroom and the window shrinks
+  // around them; the pressure reliever sheds resident read-ahead when a
+  // demand fetch finds the pool dry. The epoch must complete instead of
+  // dying with PoolExhausted.
   DlfsConfig cfg;
   cfg.batching = BatchingMode::kChunkLevel;
   cfg.prefetch.initial_units = 16;
   cfg.prefetch.max_units = 32;
-  cfg.prefetch.shared_arbiter = true;
   cfg.pool_bytes = 24ull * 256 * 1024;
   Rig rig(2048, 2000, cfg, /*client_nodes=*/{0, 0});
   std::set<std::uint32_t> seen;

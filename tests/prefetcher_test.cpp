@@ -2,10 +2,10 @@
 // must not stall (chunk and sample-level alike), the adaptive window must
 // shrink under pool pressure, epoch end must drain every pool chunk, the
 // record-file streaming order must warm open_file() reads (and end the
-// sample epoch), co-located instances must share one node's read-ahead
-// budget through the arbiter, the synchronous mode must issue nothing
-// beyond each bread's own units, and turning the daemon on or off must
-// never change what an epoch delivers — only when. The PrefetcherMatrix
+// sample epoch), co-located instances must each read ahead within their
+// own pool, the synchronous mode must issue nothing beyond each bread's
+// own units, and turning the daemon on or off must never change what an
+// epoch delivers — only when. The PrefetcherMatrix
 // suite is mode-agnostic: the ctest registration runs it once per
 // BatchingMode via DLFS_TEST_BATCHING.
 
@@ -336,24 +336,25 @@ TEST(Prefetcher, SequenceFilesEndsTheSampleEpoch) {
   EXPECT_EQ(std::set<std::uint32_t>(ids.begin(), ids.end()).size(), 64u);
 }
 
-TEST(Prefetcher, SharedArbiterBoundsCoLocatedReadAhead) {
-  // Two instances on one node, each asking for a 16-unit window out of a
-  // 16-chunk pool: the shared arbiter caps their combined read-ahead, at
-  // least one top-up is throttled, and both still drain their full share.
+TEST(Prefetcher, CoLocatedReadAheadBoundedByOwnPool) {
+  // Two instances on one node, each asking for a 16-unit window out of
+  // its own 16-chunk pool: each window shrinks to what its pool holds
+  // beyond the reserve, no allocation runs the pool dry, and each
+  // instance delivers its whole share of the epoch exactly once.
   auto cfg = chunk_cfg();
   cfg.prefetch.initial_units = 16;
   cfg.prefetch.max_units = 32;
-  cfg.prefetch.shared_arbiter = true;
   cfg.pool_bytes = 16ull * 256 * 1024;
   Rig rig(dlfs::dataset::make_fixed_size_dataset(256, 128_KiB), cfg,
           /*nodes=*/1, /*client_nodes=*/{0, 0}, /*storage_nodes=*/{0});
   rig.mount();
-  auto* arb = rig.fleet.arbiter(0);
-  ASSERT_NE(arb, nullptr);
-  EXPECT_EQ(arb->members(), 2u);
 
   std::vector<std::uint32_t> got[2];
-  for (std::uint32_t c = 0; c < 2; ++c) rig.fleet.instance(c).sequence(9);
+  std::size_t share[2] = {};
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    rig.fleet.instance(c).sequence(9);
+    share[c] = rig.fleet.instance(c).epoch_remaining();
+  }
   for (std::uint32_t c = 0; c < 2; ++c) {
     rig.sim.spawn([](DlfsInstance& inst,
                      std::vector<std::uint32_t>& out) -> Task<void> {
@@ -366,11 +367,17 @@ TEST(Prefetcher, SharedArbiterBoundsCoLocatedReadAhead) {
     }(rig.fleet.instance(c), got[c]));
   }
   rig.sim.run();
-  rig.sim.rethrow_failures();
-  EXPECT_EQ(got[0].size() + got[1].size(), 256u);
-  const auto s0 = rig.fleet.instance(0).stats().prefetch;
-  const auto s1 = rig.fleet.instance(1).stats().prefetch;
-  EXPECT_GE(s0.arbiter_throttles + s1.arbiter_throttles, 1u);
+  EXPECT_NO_THROW(rig.sim.rethrow_failures());
+  EXPECT_EQ(share[0] + share[1], 256u);
+  std::set<std::uint32_t> all;
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(got[c].size(), share[c]);
+    all.insert(got[c].begin(), got[c].end());
+    const auto s = rig.fleet.instance(c).stats().prefetch;
+    EXPECT_GE(s.window_shrinks, 1u);
+    EXPECT_LT(s.window_target, 16u);
+  }
+  EXPECT_EQ(all.size(), 256u);
 }
 
 TEST(Prefetcher, SampleLevelDegradedEpochSkipsThenReissuesAfterRecovery) {
