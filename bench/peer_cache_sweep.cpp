@@ -24,6 +24,7 @@
 //   --epochs N   epochs per mode (default 4)
 //   --smoke      shrunken run for CI (3 epochs, small dataset)
 
+#include <array>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -114,6 +115,8 @@ struct EpochResult {
   std::uint64_t peer_bytes = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  double client_cpu_util = 0.0;  // mean over clients of I/O-core busy/time
+  double lookup_us_avg = 0.0;    // directory lookup time per served sample
 };
 
 Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
@@ -136,25 +139,30 @@ Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
   }
 }
 
-struct PeerTally {
+struct FleetTally {
   std::uint64_t hits_local = 0;
   std::uint64_t hits_remote = 0;
   std::uint64_t misses = 0;
   std::uint64_t bytes = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  dlsim::SimDuration lookup = 0;
+  std::array<dlsim::SimDuration, kClients> busy{};  // per client I/O core
 };
 
-PeerTally fleet_tally(dlfs::core::DlfsFleet& fleet) {
-  PeerTally t;
+FleetTally fleet_tally(dlfs::core::DlfsFleet& fleet) {
+  FleetTally t;
   for (std::uint32_t c = 0; c < kClients; ++c) {
-    const auto st = fleet.instance(c).stats();
+    auto& inst = fleet.instance(c);
+    const auto st = inst.stats();
     t.hits_local += st.peer_hits_local;
     t.hits_remote += st.peer_hits_remote;
     t.misses += st.peer_misses;
     t.bytes += st.peer_bytes;
-    t.cache_hits += fleet.instance(c).cache().hits();
-    t.cache_misses += fleet.instance(c).cache().misses();
+    t.cache_hits += inst.cache().hits();
+    t.cache_misses += inst.cache().misses();
+    t.lookup += st.lookup_time_total;
+    t.busy[c] = inst.io_core().busy_ns();
   }
   return t;
 }
@@ -165,7 +173,7 @@ PeerTally fleet_tally(dlfs::core::DlfsFleet& fleet) {
 std::vector<EpochResult> run_mode(const SweepParams& p, bool peer_on) {
   SweepRig rig(p.samples, sweep_config(p, peer_on));
   std::vector<EpochResult> out;
-  PeerTally prev{};
+  FleetTally prev = fleet_tally(rig.fleet);
   for (std::uint32_t e = 1; e <= p.epochs; ++e) {
     for (std::uint32_t c = 0; c < kClients; ++c) {
       rig.fleet.instance(c).sequence(p.seed + e - 1);
@@ -191,13 +199,21 @@ std::vector<EpochResult> run_mode(const SweepParams& p, bool peer_on) {
     for (const std::uint32_t n : delivered) {
       if (n != 1) r.exactly_once = false;
     }
-    const PeerTally now = fleet_tally(rig.fleet);
+    const FleetTally now = fleet_tally(rig.fleet);
     r.peer_hits_local = now.hits_local - prev.hits_local;
     r.peer_hits_remote = now.hits_remote - prev.hits_remote;
     r.peer_misses = now.misses - prev.misses;
     r.peer_bytes = now.bytes - prev.bytes;
     r.cache_hits = now.cache_hits - prev.cache_hits;
     r.cache_misses = now.cache_misses - prev.cache_misses;
+    for (std::uint32_t c = 0; c < kClients; ++c) {
+      r.client_cpu_util += static_cast<double>(now.busy[c] - prev.busy[c]) /
+                           static_cast<double>(r.elapsed) / kClients;
+    }
+    r.lookup_us_avg =
+        r.served > 0 ? dlsim::to_micros(now.lookup - prev.lookup) /
+                           static_cast<double>(r.served)
+                     : 0.0;
     prev = now;
     out.push_back(r);
   }
@@ -222,6 +238,8 @@ void add_report_row(dlfs::bench::JsonReport& report, bool peer_on,
   row.samples_skipped = r.skipped;
   row.cache_hits = r.cache_hits;
   row.cache_misses = r.cache_misses;
+  row.client_cpu_util = r.client_cpu_util;
+  row.lookup_us_avg = r.lookup_us_avg;
   row.peer_hits_local = r.peer_hits_local;
   row.peer_hits_remote = r.peer_hits_remote;
   row.peer_misses = r.peer_misses;

@@ -187,11 +187,9 @@ std::vector<UnitExtent> EpochUnitProvider::unit_extents(
           const auto r = routes_(us.sample_id);
           hops.insert(hops.end(), r.begin(), r.end());
         }
-        const auto first = std::find_if(
-            hops.begin(), hops.end(),
-            [this](const RouteHop& h) {
-              return h.cls == HopClass::kStorage && live_(h.nid);
-            });
+        const auto first =
+            std::find_if(hops.begin(), hops.end(),
+                         [this](const RouteHop& h) { return live_(h.nid); });
         if (first == hops.end()) continue;  // no live copy: skipped
         out.push_back(UnitExtent{first->nid, first->offset, us.len,
                                  us.sample_id,

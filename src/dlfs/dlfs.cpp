@@ -231,8 +231,8 @@ DlfsFleet::DlfsFleet(cluster::Cluster& cluster, cluster::Pfs& pfs,
   repair_next_offset_ = std::move(next_offset);
   if (config_.peer_cache.enabled) {
     // Cooperative peer cache: one cluster-wide consistent-hash directory
-    // of advertised residency. The per-node member indexes grow lazily
-    // (peer_index_for) as instances mount.
+    // of advertised residency, consulted for co-located and remote
+    // holders alike.
     peer_directory_ = std::make_shared<PeerCacheDirectory>(
         config_.peer_cache, static_cast<std::uint32_t>(client_nodes_.size()));
   }
@@ -452,7 +452,6 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
   IoEngineConfig ecfg;
   ecfg.chunk_bytes = cfg.chunk_bytes;
   ecfg.copy_threads = cfg.copy_threads;
-  ecfg.retry_backoff = cfg.fault.io_retry_backoff;
   ecfg.reprobe_interval = cfg.fault.reprobe_interval;
   engine_ = std::make_unique<IoEngine>(node.simulator(), *pool_, *cache_,
                                        cfg.calibration, ecfg);
@@ -506,14 +505,12 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
   engine_->set_pressure_reliever(
       [this] { return prefetcher_->relieve_pressure(); });
   if (cfg.peer_cache.enabled) {
-    // Cooperative peer cache: join the node's member index so co-located
-    // instances can serve out of this cache, and mirror V-bit flips into
-    // the cluster directory so remote ones can find it. The listener runs
-    // inside cache slices, so it must stay suspension-free — directory
-    // updates are plain bookkeeping (the model's stand-in for residency
-    // deltas piggybacked on existing metadata traffic).
-    peer_index_ = fleet.peer_index_for(fleet.client_nodes_[client_idx]);
-    peer_index_->register_member(client_idx_, cache_.get(), io_core_);
+    // Cooperative peer cache: mirror V-bit flips into the cluster
+    // directory so co-located and remote instances can find this cache.
+    // The listener runs inside cache slices, so it must stay
+    // suspension-free — directory updates are plain bookkeeping (the
+    // model's stand-in for residency deltas piggybacked on existing
+    // metadata traffic).
     cache_->set_residency_listener(
         [this, pnode = static_cast<std::uint16_t>(
                    fleet.client_nodes_[client_idx])](std::size_t id,
@@ -528,12 +525,6 @@ DlfsInstance::DlfsInstance(DlfsFleet& fleet, std::uint32_t client_idx,
           }
         });
   }
-}
-
-std::shared_ptr<PeerCacheIndex> DlfsFleet::peer_index_for(hw::NodeId nid) {
-  auto& idx = peer_indexes_[nid];
-  if (!idx) idx = std::make_shared<PeerCacheIndex>();
-  return idx;
 }
 
 // ---------------------------------------------------------------------------
@@ -641,11 +632,10 @@ DlfsInstance::~DlfsInstance() {
   // member; the alive token (checked after every suspension) is the only
   // teardown signal.
   *repair_alive_ = false;
-  // Leave the cooperative cache before members start dying: co-located
-  // instances must stop probing this cache, and advertised residency
-  // must vanish from the cluster directory (the cache tears entries down
-  // without firing the listener).
-  if (peer_index_) peer_index_->unregister_member(client_idx_);
+  // Leave the cooperative cache before members start dying: advertised
+  // residency must vanish from the cluster directory, so no peer probes
+  // this cache again (the cache tears entries down without firing the
+  // listener).
   if (fleet_->peer_directory_) {
     fleet_->peer_directory_->retract_all(client_idx_);
   }
@@ -726,42 +716,33 @@ bool DlfsInstance::sample_reachable(std::uint32_t sample_id) const {
 // ---------------------------------------------------------------------------
 // Cooperative peer cache (read side)
 
-bool DlfsInstance::peer_resident(std::uint32_t sample_id) const {
-  if (!fleet_->config_.peer_cache.enabled) return false;
-  if (peer_index_ != nullptr &&
-      peer_index_->find_holder(sample_id, client_idx_) != nullptr) {
-    return true;
-  }
-  PeerCacheDirectory* dir = fleet_->peer_directory_.get();
-  return dir != nullptr && dir->find(sample_id, client_idx_).found;
-}
-
 dlsim::Task<bool> DlfsInstance::try_peer_read(std::uint32_t sample_id,
                                               std::uint32_t len,
                                               std::byte* dst) {
-  if (!fleet_->config_.peer_cache.enabled) co_return false;
+  PeerCacheDirectory* dir = fleet_->peer_directory_.get();
+  if (dir == nullptr) co_return false;  // peer cache off
   const DlfsCosts& costs = fleet_->config_.calibration.dlfs;
+  const hw::NodeId me = fleet_->client_nodes_[client_idx_];
 
   // Intra-node first: a co-located instance's resident copy is one pin
   // plus one DRAM copy away — no fabric, and no tenant admission (same
   // treatment as own-cache hits: host-memory copies never compete with
   // other tenants for the devices or the wire).
-  if (peer_index_ != nullptr) {
-    const PeerCacheIndex::Member* m =
-        peer_index_->find_holder(sample_id, client_idx_);
-    if (m != nullptr) {
-      auto views = m->cache->pin(sample_id);
-      if (!views.empty()) {
-        co_await io_core_->compute(costs.peer_serve);
-        CopyJob job;
-        job.views = std::move(views);
-        job.dst = dst;
-        co_await engine_->run_copy_inline(*io_core_, std::move(job));
-        m->cache->unpin(sample_id);
-        ++peer_hits_local_;
-        peer_bytes_ += len;
-        co_return true;
-      }
+  const PeerCacheDirectory::Holder local =
+      dir->find(sample_id, client_idx_, static_cast<std::uint16_t>(me));
+  if (local.found) {
+    SampleCache& holder = *fleet_->instances_[local.client]->cache_;
+    auto views = holder.pin(sample_id);
+    if (!views.empty()) {
+      co_await io_core_->compute(costs.peer_serve);
+      CopyJob job;
+      job.views = std::move(views);
+      job.dst = dst;
+      co_await engine_->run_copy_inline(*io_core_, std::move(job));
+      holder.unpin(sample_id);
+      ++peer_hits_local_;
+      peer_bytes_ += len;
+      co_return true;
     }
   }
 
@@ -769,13 +750,7 @@ dlsim::Task<bool> DlfsInstance::try_peer_read(std::uint32_t sample_id,
   // pull the bytes from the holder's DRAM over the fabric. Every refusal
   // along the way (no holder, dropped leg, raced eviction) unwinds to a
   // miss; the caller falls back to the normal replica read path.
-  PeerCacheDirectory* dir = fleet_->peer_directory_.get();
-  if (dir == nullptr) {
-    ++peer_misses_;
-    co_return false;
-  }
   hw::Fabric& fabric = fleet_->cluster_->fabric();
-  const hw::NodeId me = fleet_->client_nodes_[client_idx_];
   const std::uint32_t home = dir->home_client(sample_id);
   const hw::NodeId home_node = fleet_->client_nodes_[home];
   if (home != client_idx_) {
@@ -811,11 +786,9 @@ dlsim::Task<bool> DlfsInstance::try_peer_read(std::uint32_t sample_id,
   // Pin the holder's entry. The fabric hops above suspended, so the
   // holder may have evicted (and retracted) meanwhile — an empty pin is
   // that race, answered with a miss reply.
-  PeerCacheIndex* hidx = fleet_->peer_index(holder_node);
-  const PeerCacheIndex::Member* m =
-      hidx != nullptr ? hidx->member_of(h.client) : nullptr;
-  std::vector<std::span<const std::byte>> views;
-  if (m != nullptr) views = m->cache->pin(sample_id);
+  DlfsInstance& holder = *fleet_->instances_[h.client];
+  std::vector<std::span<const std::byte>> views =
+      holder.cache_->pin(sample_id);
   if (views.empty()) {
     co_await fabric.transfer(holder_node, me, hw::kControlMessageBytes);
     ++peer_misses_;
@@ -831,10 +804,10 @@ dlsim::Task<bool> DlfsInstance::try_peer_read(std::uint32_t sample_id,
   }
   // Holder-side serve (verbs recv + RDMA post) on the holder's core; the
   // data path itself is one-sided, so there is no holder-side copy.
-  co_await m->core->compute(costs.peer_serve);
+  co_await holder.io_core_->compute(costs.peer_serve);
   const bool delivered = co_await fabric.send(holder_node, me, len);
   if (!delivered) {
-    m->cache->unpin(sample_id);
+    holder.cache_->unpin(sample_id);
     if (fleet_->tenant_) fleet_->tenant_->on_complete(len);
     ++peer_misses_;
     co_return false;
@@ -845,7 +818,7 @@ dlsim::Task<bool> DlfsInstance::try_peer_read(std::uint32_t sample_id,
   job.views = std::move(views);
   job.dst = dst;
   co_await engine_->run_copy_inline(*io_core_, std::move(job));
-  m->cache->unpin(sample_id);
+  holder.cache_->unpin(sample_id);
   if (fleet_->tenant_) fleet_->tenant_->on_complete(len);
   ++peer_hits_remote_;
   peer_bytes_ += len;
@@ -1257,13 +1230,16 @@ void DlfsInstance::sequence(std::uint64_t seed) {
   if (fleet_->config_.fault.replication.k > 1) {
     routes = [this](std::uint32_t id) { return sample_routes(id); };
   }
-  // Peer-resident samples are elided from read-ahead like cache hits:
-  // the consume path pulls them from the peer instead of the device.
+  // Samples another instance advertised in the peer directory are elided
+  // from read-ahead like cache hits: the consume path pulls them from
+  // the peer instead of the device.
   // Chunk units always fetch whole (their samples never populate the
   // sample cache), so chunk mode takes no probe.
   EpochUnitProvider::PeerProbe peers;
   if (fleet_->config_.peer_cache.enabled && !chunk) {
-    peers = [this](std::uint32_t id) { return peer_resident(id); };
+    peers = [this](std::uint32_t id) {
+      return fleet_->peer_directory_->find(id, client_idx_).found;
+    };
   }
   // A chunk unit whose home node is down when it is issued is planned
   // from replicas instead, and read ahead like any other unit.

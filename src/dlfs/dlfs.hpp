@@ -75,9 +75,8 @@ struct ReplicationConfig {
 };
 
 /// Everything about surviving faults, consolidated like PrefetcherConfig:
-/// transport-level handling for every remote initiator queue,
-/// engine-level retry pacing, reprobe cadence, and the replication/repair
-/// policy. DlfsConfig::fault is the only place these knobs live.
+/// transport-level handling for every remote initiator queue, reprobe
+/// cadence, and the replication/repair policy. DlfsConfig::fault is the only place these knobs live.
 struct FaultConfig {
   // NVMe-oF transport fault handling (command deadline, reconnect
   // backoff/budget, reconnect admission cap).
@@ -89,9 +88,6 @@ struct FaultConfig {
   // runs a background probe daemon per instance so nodes that heal
   // mid-epoch rejoin within one interval; 0 = epoch-boundary only.
   dlsim::SimDuration reprobe_interval = 0;
-  // Engine-level re-post backoff for transient completion errors
-  // (media/timeout); doubles per attempt.
-  dlsim::SimDuration io_retry_backoff = 10'000;
 
   bool operator==(const FaultConfig&) const = default;
 };
@@ -131,8 +127,8 @@ struct DlfsConfig {
   // open_file().
   std::uint32_t record_file_samples = 0;
   std::uint64_t pool_bytes = 96ull * 1024 * 1024;  // client huge-page pool
-  // Consolidated fault handling: transport (nvmf), replication/repair,
-  // reprobe cadence and retry pacing. See FaultConfig.
+  // Consolidated fault handling: transport (nvmf), replication/repair
+  // and reprobe cadence. See FaultConfig.
   FaultConfig fault{};
   // How clients hold the sample directory after mount: kFull all-gathers
   // every shard to every client (§III-B, the default); kSharded keeps
@@ -140,11 +136,11 @@ struct DlfsConfig {
   // lazily over NVMe-oF metadata RPCs through a bounded lookup cache +
   // negative cache, so per-client directory memory is O(dataset / S).
   DirectoryConfig directory{};
-  // Cooperative peer sample cache: co-located instances serve each
-  // other's cached samples through a per-node PeerCacheIndex, and a
-  // consistent-hash cache directory lets a client fetch a hot sample
-  // from a remote peer's DRAM over the fabric instead of re-reading
-  // NVMe. Coherence-free because the dataset is immutable after mount.
+  // Cooperative peer sample cache: one consistent-hash cache directory
+  // of advertised residency lets a client copy a sample out of a
+  // co-located instance's DRAM, or fetch it from a remote peer's DRAM
+  // over the fabric, instead of re-reading NVMe. Coherence-free because
+  // the dataset is immutable after mount.
   PeerCacheConfig peer_cache{};
   // Tenant identity under a shared TenantGovernor (multi-job QoS). A
   // default-constructed TenantConfig (null governor) means no QoS.
@@ -464,15 +460,13 @@ class DlfsInstance {
   [[nodiscard]] bool sample_reachable(std::uint32_t sample_id) const;
 
   // --- cooperative peer cache ----------------------------------------------
-  /// Cost-free probe: is the sample resident in some *other* instance's
-  /// cache (co-located or remote) right now? Issue-time elision and the
-  /// skip decision consult this before giving up on a sample.
-  [[nodiscard]] bool peer_resident(std::uint32_t sample_id) const;
-  /// Peer-cache read: co-located holder first (shared-DRAM copy), then a
-  /// remote holder via the cache directory's home client (peer-read RPC
-  /// over the fabric, charged to this fleet's tenant). Copies the
-  /// sample's bytes into `dst` on success; a miss (no holder, raced
-  /// eviction, transport refusal) counts peer_misses_ and returns false.
+  /// Peer-cache read, both tiers found through the cache directory: a
+  /// co-located holder first (shared-DRAM copy, no fabric, no tenant
+  /// admission), then a remote holder via the directory's home client
+  /// (peer-read RPC over the fabric, charged to this fleet's tenant).
+  /// Copies the sample's bytes into `dst` on success; a miss (no holder,
+  /// raced eviction, transport refusal) counts peer_misses_ and returns
+  /// false. Returns false without counting when the peer cache is off.
   [[nodiscard]] dlsim::Task<bool> try_peer_read(std::uint32_t sample_id,
                                                 std::uint32_t len,
                                                 std::byte* dst);
@@ -561,9 +555,6 @@ class DlfsInstance {
   std::uint64_t repair_bytes_ = 0;
   std::uint64_t repair_throttles_ = 0;
   // --- cooperative peer cache state ----------------------------------------
-  // The node-local index this instance registered its cache with (null
-  // with peer_cache.enabled off); shared by every co-located instance.
-  std::shared_ptr<PeerCacheIndex> peer_index_;
   std::uint64_t peer_hits_local_ = 0;
   std::uint64_t peer_hits_remote_ = 0;
   std::uint64_t peer_misses_ = 0;
@@ -691,13 +682,6 @@ class DlfsFleet {
     return record_files_;
   }
 
-  /// The per-node cooperative cache index (created lazily when a mounted
-  /// instance has peer_cache.enabled); nullptr when no instance on `nid`
-  /// registered.
-  [[nodiscard]] PeerCacheIndex* peer_index(hw::NodeId nid) const {
-    auto it = peer_indexes_.find(nid);
-    return it == peer_indexes_.end() ? nullptr : it->second.get();
-  }
   /// The cluster-wide cooperative cache directory (created at
   /// construction when peer_cache.enabled; nullptr otherwise).
   [[nodiscard]] PeerCacheDirectory* peer_directory() const {
@@ -744,7 +728,6 @@ class DlfsFleet {
 
   /// One participant p in [0, participants()) of the collective mount.
   [[nodiscard]] dlsim::Task<void> mount_participant(std::uint32_t p);
-  [[nodiscard]] std::shared_ptr<PeerCacheIndex> peer_index_for(hw::NodeId nid);
 
   /// Picks the deterministic replacement for a new copy of `sample_id` —
   /// the same hash(name ‖ r) probe chain as mount-time placement, skipping
@@ -787,11 +770,10 @@ class DlfsFleet {
   std::vector<std::vector<RecordFileInfo>> record_files_;  // per slot
   std::unique_ptr<BatchPlan> plan_;
   std::vector<std::unique_ptr<spdk::NvmfTarget>> targets_;  // per slot
-  // Cooperative peer cache (config.peer_cache.enabled): per-node member
-  // indexes and the cluster-wide consistent-hash cache directory.
-  // Declared before instances_ — ~DlfsInstance unregisters from both, so
-  // they must outlive the instances during fleet destruction.
-  std::unordered_map<hw::NodeId, std::shared_ptr<PeerCacheIndex>> peer_indexes_;
+  // Cooperative peer cache (config.peer_cache.enabled): the cluster-wide
+  // consistent-hash cache directory. Declared before instances_ —
+  // ~DlfsInstance retracts its residency from it, so it must outlive the
+  // instances during fleet destruction.
   std::shared_ptr<PeerCacheDirectory> peer_directory_;
   std::vector<std::unique_ptr<DlfsInstance>> instances_;
   cluster::Barrier upload_barrier_;

@@ -55,15 +55,6 @@ namespace dlfs::core {
 struct IoEngineConfig {
   std::uint64_t chunk_bytes = 256 * 1024;  // request split size (paper default)
   std::uint32_t copy_threads = 2;
-  std::uint32_t scq_capacity = 4096;
-  // Busy-poll quantum used when waiting on event-driven (remote) queues.
-  dlsim::SimDuration poll_quantum = 500;
-  // Transient media errors are re-posted this many times before the read
-  // fails (NVMe drivers retry retryable statuses the same way).
-  std::uint32_t max_retries = 3;
-  // First-retry delay; doubles per attempt. Keeps a faulting device from
-  // being hammered with re-posts within the same poll quantum.
-  dlsim::SimDuration retry_backoff = 10'000;  // 10 us
   // Mid-epoch reprobe: when > 0, a background daemon revalidates down
   // nodes every `reprobe_interval` on its own core, instead of waiting
   // for the caller's epoch-boundary reprobe. 0 = epoch-boundary only.
@@ -83,7 +74,8 @@ enum class IoErrorKind : std::uint8_t {
   kNodeDown,  // the storage node's reconnect budget is exhausted
 };
 
-/// A read failed even after max_retries re-posts.
+/// A read failed even after the engine's retry budget (kMaxRetries
+/// re-posts) or its last route ran out.
 class IoError : public std::runtime_error {
  public:
   IoError(std::uint16_t nid, std::uint64_t offset,
@@ -311,6 +303,18 @@ class IoEngine {
   [[nodiscard]] std::uint64_t cross_core_handoffs() const;
 
  private:
+  // Shared completion queue depth (copy jobs handed to the copy threads).
+  static constexpr std::uint32_t kScqCapacity = 4096;
+  // Busy-poll quantum used when waiting on event-driven (remote) queues.
+  static constexpr dlsim::SimDuration kPollQuantum = 500;
+  // Transient media errors and timeouts are re-posted this many times
+  // before the read fails (NVMe drivers retry retryable statuses the
+  // same way).
+  static constexpr std::uint32_t kMaxRetries = 3;
+  // First-retry delay; doubles per attempt. Keeps a faulting device from
+  // being hammered with re-posts within the same poll quantum.
+  static constexpr dlsim::SimDuration kRetryBackoff = 10'000;  // 10 us
+
   struct Piece {
     ExtentOpPtr op;
     std::uint32_t idx = 0;  // position within the extent

@@ -129,44 +129,6 @@ bool SampleCache::evict_one() {
   return true;
 }
 
-// --- PeerCacheIndex ---------------------------------------------------------
-
-void PeerCacheIndex::register_member(std::uint32_t client, SampleCache* cache,
-                                     dlsim::CpuCore* core) {
-  dlsim::AccessSlice slice{ledger_, /*write=*/true};
-  for (const Member& m : members_) {
-    if (m.client == client) {
-      throw std::logic_error("peer-cache member registered twice");
-    }
-  }
-  members_.push_back(Member{client, cache, core});
-}
-
-void PeerCacheIndex::unregister_member(std::uint32_t client) {
-  dlsim::AccessSlice slice{ledger_, /*write=*/true};
-  std::erase_if(members_,
-                [client](const Member& m) { return m.client == client; });
-}
-
-const PeerCacheIndex::Member* PeerCacheIndex::find_holder(
-    std::size_t sample_id, std::uint32_t asking) const {
-  dlsim::AccessSlice slice{ledger_, /*write=*/false};
-  for (const Member& m : members_) {
-    if (m.client == asking) continue;
-    if (m.cache != nullptr && m.cache->valid(sample_id)) return &m;
-  }
-  return nullptr;
-}
-
-const PeerCacheIndex::Member* PeerCacheIndex::member_of(
-    std::uint32_t client) const {
-  dlsim::AccessSlice slice{ledger_, /*write=*/false};
-  for (const Member& m : members_) {
-    if (m.client == client) return &m;
-  }
-  return nullptr;
-}
-
 // --- PeerCacheDirectory -----------------------------------------------------
 
 PeerCacheDirectory::PeerCacheDirectory(PeerCacheConfig cfg,
@@ -260,12 +222,13 @@ void PeerCacheDirectory::retract_all(std::uint32_t holder) {
 }
 
 PeerCacheDirectory::Holder PeerCacheDirectory::find(
-    std::size_t sample_id, std::uint32_t asking) const {
+    std::size_t sample_id, std::uint32_t asking,
+    std::optional<std::uint16_t> node) const {
   dlsim::AccessSlice slice{ledger_, /*write=*/false};
   auto it = ads_.find(sample_id);
   if (it == ads_.end()) return {};
   for (const Ad& a : it->second) {
-    if (a.holder == asking) continue;
+    if (a.holder == asking || (node && a.node != *node)) continue;
     return Holder{true, a.holder, a.node};
   }
   return {};

@@ -46,16 +46,13 @@
 #include <functional>
 #include <limits>
 #include <list>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "mem/hugepage_pool.hpp"
 #include "sim/check.hpp"
-
-namespace dlsim {
-class CpuCore;
-}
 
 namespace dlfs::core {
 
@@ -75,7 +72,8 @@ struct PeerCacheConfig {
   bool enabled = false;
   /// Advertised-residency budget per client node, in bytes. 0 means
   /// every resident sample is advertised (already bounded by the cache
-  /// capacity itself).
+  /// capacity itself). Unadvertised residency is served to no peer,
+  /// co-located or remote.
   std::uint64_t advertise_budget_bytes = 0;
   Eviction eviction = Eviction::kLru;
 
@@ -199,46 +197,17 @@ class SampleCache {
   std::function<void(std::size_t, bool)> residency_listener_;
 };
 
-/// PeerCacheIndex: the intra-node half of the cooperative cache. One per
-/// *client node*, registered on the fleet (DlfsFleet::peer_index_for):
-/// every co-located DlfsInstance registers its SampleCache (and the I/O
-/// core its peer serves are charged to), so a sample resident in any
-/// local instance is a local hit for all of them — UnifyFS-style
-/// ephemeral node-local aggregation. Like DirectoryView, the object is
-/// cost-free bookkeeping; callers charge CPU/copy time.
-class PeerCacheIndex {
- public:
-  struct Member {
-    std::uint32_t client = 0;         // fleet client index
-    SampleCache* cache = nullptr;     // that instance's sample cache
-    dlsim::CpuCore* core = nullptr;   // core a peer serve is charged to
-  };
-
-  void register_member(std::uint32_t client, SampleCache* cache,
-                       dlsim::CpuCore* core);
-  void unregister_member(std::uint32_t client);
-
-  /// First co-located member other than `asking` holding `sample_id`.
-  /// Returned pointer stays valid until that member unregisters.
-  [[nodiscard]] const Member* find_holder(std::size_t sample_id,
-                                          std::uint32_t asking) const;
-
-  /// Registered record for `client`, or nullptr.
-  [[nodiscard]] const Member* member_of(std::uint32_t client) const;
-
- private:
-  mutable dlsim::AccessLedger ledger_{"peer-cache-index"};
-  std::vector<Member> members_;
-};
-
-/// PeerCacheDirectory: the cross-node half. A consistent-hash cache
-/// directory mapping sample id -> the client instances currently holding
-/// it in DRAM, with a per-node advertised-bytes budget. Residency deltas
-/// are published synchronously by the SampleCache residency listener —
-/// the model's stand-in for piggybacking them on existing metadata
-/// traffic; consumers of the directory charge the fabric/CPU cost of the
-/// home-directed request/forward hops (see the DlfsInstance peer-read
-/// path). The object itself is cost-free bookkeeping.
+/// PeerCacheDirectory: the cooperative cache's one residency index. A
+/// consistent-hash cache directory mapping sample id -> the client
+/// instances currently holding it in DRAM, with a per-node
+/// advertised-bytes budget. Residency deltas are published synchronously
+/// by the SampleCache residency listener — the model's stand-in for
+/// piggybacking them on existing metadata traffic. Co-located holders
+/// (find() with a node filter) are served over shared DRAM; remote ones
+/// through the home-directed request/forward hops, whose fabric/CPU cost
+/// the DlfsInstance peer-read path charges. A sample resident but not
+/// advertised (over budget) is served by nobody but its own cache. The
+/// object itself is cost-free bookkeeping.
 class PeerCacheDirectory {
  public:
   PeerCacheDirectory(PeerCacheConfig cfg, std::uint32_t num_clients);
@@ -261,10 +230,12 @@ class PeerCacheDirectory {
     std::uint32_t client = 0;
     std::uint16_t node = 0;
   };
-  /// Some advertised holder of `sample_id` other than `asking`
-  /// (deterministic: first surviving advertisement wins).
-  [[nodiscard]] Holder find(std::size_t sample_id,
-                            std::uint32_t asking) const;
+  /// Some advertised holder of `sample_id` other than `asking`, on
+  /// `node` if one is given (deterministic: first surviving
+  /// advertisement wins).
+  [[nodiscard]] Holder find(
+      std::size_t sample_id, std::uint32_t asking,
+      std::optional<std::uint16_t> node = std::nullopt) const;
 
   [[nodiscard]] std::uint64_t advertised_bytes(std::uint16_t node) const;
   [[nodiscard]] std::uint64_t budget_retractions() const {

@@ -1,10 +1,9 @@
-// Cooperative peer sample cache: the per-node PeerCacheIndex (co-located
-// instances serving each other's resident samples), the consistent-hash
-// PeerCacheDirectory (cross-node holder discovery with an advertise
+// Cooperative peer sample cache: the consistent-hash PeerCacheDirectory
+// (holder discovery for co-located and remote peers, with an advertise
 // budget), and the fleet-level read paths — intra-node peer hits, remote
-// peer pulls over the fabric, pin-protected serving under eviction
-// pressure, and exactly-once skip accounting when both the peer and the
-// replica route fail.
+// peer pulls over the fabric, the advertise budget bounding what peers
+// serve, pin-protected serving under eviction pressure, and exactly-once
+// skip accounting when both the peer and the replica route fail.
 
 #include <gtest/gtest.h>
 
@@ -192,8 +191,8 @@ TEST(PeerCache, CoLocatedInstancesServePeerHitsAfterReshuffle) {
   // Two instances on one client node. Epoch 1 (seed 1) leaves each
   // client's strided half resident in its own cache; epoch 2 reshuffles
   // with a new seed, so about half of each client's share is resident
-  // only at its co-located peer — served through the PeerCacheIndex with
-  // no fabric traffic.
+  // only at its co-located peer — found through the cache directory's
+  // node filter and served with no fabric traffic.
   PeerRig rig(2, /*clients=*/{1, 1}, /*storage=*/{0},
               PeerRig::cfg(/*cache_chunks=*/320));
   auto& a = rig.fleet.instance(0);
@@ -227,6 +226,37 @@ TEST(PeerCache, CoLocatedInstancesServePeerHitsAfterReshuffle) {
   // Same node: a co-located holder always wins before the fabric path.
   EXPECT_EQ(sa.peer_hits_remote + sb.peer_hits_remote, 0u);
   EXPECT_GT(sa.peer_bytes + sb.peer_bytes, 0u);
+}
+
+TEST(PeerCache, AdvertiseBudgetBoundsCoLocatedServes) {
+  // The cache directory is the only residency index peers consult, so a
+  // node's advertise budget bounds what co-located instances serve each
+  // other too. Refuse-new keeps the node's first eight adverts; every
+  // other resident sample is invisible to the peer and is read from
+  // storage instead, with the same bytes.
+  auto c = PeerRig::cfg(/*cache_chunks=*/320);
+  c.peer_cache.advertise_budget_bytes = 8 * 4096;
+  c.peer_cache.eviction = PeerCacheConfig::Eviction::kRefuseNew;
+  PeerRig rig(2, /*clients=*/{1, 1}, /*storage=*/{0}, c);
+  auto& a = rig.fleet.instance(0);
+  auto& b = rig.fleet.instance(1);
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    a.sequence(seed);
+    b.sequence(seed);
+    DeliveryLog la, lb;
+    rig.sim.spawn(run_epoch_logged(rig.ds, a, la), "budget-a");
+    rig.sim.spawn(run_epoch_logged(rig.ds, b, lb), "budget-b");
+    rig.sim.run_watchdog(rig.sim.now() + 30_sec);
+    rig.sim.rethrow_failures();
+    EXPECT_EQ(la.order.size() + lb.order.size(), PeerRig::kSamples);
+    EXPECT_EQ(la.skipped + lb.skipped, 0u);
+    EXPECT_TRUE(la.content_ok);
+    EXPECT_TRUE(lb.content_ok);
+  }
+  const std::uint64_t local =
+      a.stats().peer_hits_local + b.stats().peer_hits_local;
+  EXPECT_GT(local, 0u);
+  EXPECT_LE(local, 8u);
 }
 
 TEST(PeerCache, RemotePeerPullsOverFabricAfterReshuffle) {
@@ -420,7 +450,7 @@ TEST(PeerCache, CrashFailoverSkipsExactlyOncePerSample) {
 
 TEST(PeerCache, DisabledConfigKeepsCountersAtZero) {
   // peer_cache.enabled = false must leave the read path untouched: no
-  // index, no directory, all peer counters pinned at zero.
+  // directory, all peer counters pinned at zero.
   auto c = PeerRig::cfg(/*cache_chunks=*/320);
   c.peer_cache.enabled = false;
   PeerRig rig(2, /*clients=*/{1, 1}, /*storage=*/{0}, c);
