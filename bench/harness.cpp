@@ -154,7 +154,6 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
     r.qos_deferrals += st.qos_deferrals;
     r.directory.local_hits += st.directory.local_hits;
     r.directory.cache_hits += st.directory.cache_hits;
-    r.directory.negative_hits += st.directory.negative_hits;
     r.directory.remote_lookups += st.directory.remote_lookups;
     r.directory.cache_evictions += st.directory.cache_evictions;
     r.directory.stale_invalidations += st.directory.stale_invalidations;
@@ -479,7 +478,6 @@ std::string JsonReport::write() const {
         << ", \"qos_deferrals\": " << r.qos_deferrals
         << ", \"directory_local_hits\": " << r.directory.local_hits
         << ", \"directory_cache_hits\": " << r.directory.cache_hits
-        << ", \"directory_negative_hits\": " << r.directory.negative_hits
         << ", \"directory_remote_lookups\": " << r.directory.remote_lookups
         << ", \"directory_cache_evictions\": " << r.directory.cache_evictions
         << ", \"directory_stale_invalidations\": "

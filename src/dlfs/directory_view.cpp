@@ -44,73 +44,40 @@ void DirectoryView::cache_insert(std::uint64_t key, const SampleEntry* entry) {
   cache_.emplace(key, CacheRow{entry, lru_.begin(), row_version(key)});
 }
 
-void DirectoryView::negative_insert(std::uint64_t key) {
-  if (cfg_.negative_cache_entries == 0) return;
-  if (neg_.contains(key)) return;
-  while (neg_.size() >= cfg_.negative_cache_entries) {
-    neg_.erase(neg_fifo_.back());
-    neg_fifo_.pop_back();
-  }
-  neg_fifo_.push_front(key);
-  neg_.emplace(key, neg_fifo_.begin());
-}
-
-DirectoryView::Resolution DirectoryView::resolve_id(std::size_t sample_id) {
+DirectoryView::Resolution DirectoryView::resolve(std::uint16_t owner_slot,
+                                                 std::uint64_t key) {
   Resolution r;
-  r.cache_key = id_key(sample_id);
-  r.owner_slot = dir_->owner_slot_of(sample_id);
-  if (resident(r.owner_slot)) {
+  r.owner_slot = owner_slot;
+  r.cache_key = key;
+  if (resident(owner_slot)) {
     ++stats_.local_hits;
-    r.entry = dir_->lookup_id(sample_id);
     r.served = Served::kLocal;
-    return r;
-  }
-  if (const SampleEntry* e = cache_find(r.cache_key)) {
+  } else if (const SampleEntry* e = cache_find(key)) {
     ++stats_.cache_hits;
     r.entry = e;
     r.served = Served::kCached;
-    return r;
+  } else {
+    ++stats_.remote_lookups;
+    r.served = Served::kRemote;
   }
-  ++stats_.remote_lookups;
-  r.served = Served::kRemote;
+  return r;
+}
+
+DirectoryView::Resolution DirectoryView::resolve_id(std::size_t sample_id) {
+  Resolution r = resolve(dir_->owner_slot_of(sample_id), id_key(sample_id));
+  if (r.served == Served::kLocal) r.entry = dir_->lookup_id(sample_id);
   return r;
 }
 
 DirectoryView::Resolution DirectoryView::resolve_name(std::string_view name) {
-  Resolution r;
-  const std::uint64_t h = hash64(name);
-  r.cache_key = name_key(h);
-  r.owner_slot = dir_->owner_of(name);
-  if (resident(r.owner_slot)) {
-    ++stats_.local_hits;
-    r.entry = dir_->lookup(name);
-    r.served = Served::kLocal;
-    return r;
-  }
-  if (const SampleEntry* e = cache_find(r.cache_key)) {
-    ++stats_.cache_hits;
-    r.entry = e;
-    r.served = Served::kCached;
-    return r;
-  }
-  if (neg_.contains(r.cache_key)) {
-    ++stats_.negative_hits;
-    r.entry = nullptr;
-    r.served = Served::kNegative;
-    return r;
-  }
-  ++stats_.remote_lookups;
-  r.served = Served::kRemote;
+  Resolution r = resolve(dir_->owner_of(name), name_key(hash64(name)));
+  if (r.served == Served::kLocal) r.entry = dir_->lookup(name);
   return r;
 }
 
 void DirectoryView::complete_remote(const Resolution& r,
                                     const SampleEntry* entry) {
-  if (entry != nullptr) {
-    cache_insert(r.cache_key, entry);
-  } else {
-    negative_insert(r.cache_key);
-  }
+  if (entry != nullptr) cache_insert(r.cache_key, entry);
 }
 
 std::uint64_t DirectoryView::resident_bytes() const {
@@ -121,7 +88,6 @@ std::uint64_t DirectoryView::resident_bytes() const {
   }
   bytes += static_cast<std::uint64_t>(cache_.size()) *
            (SampleDirectory::kEntryBytes + SampleDirectory::kIdRowBytes);
-  bytes += static_cast<std::uint64_t>(neg_.size()) * kNegativeRowBytes;
   return bytes;
 }
 

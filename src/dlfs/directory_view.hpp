@@ -12,9 +12,8 @@
 //     move whole shards;
 //   * the shards co-located with the client's own node, resident at the
 //     usual entry + id-row rates;
-//   * a bounded positive lookup cache (LRU over resolved entries) and a
-//     bounded negative cache (name hashes known to be absent), both
-//     filled by NVMe-oF-style metadata RPCs to the owning node.
+//   * a bounded lookup cache (LRU over resolved entries) filled by
+//     NVMe-oF-style metadata RPCs to the owning node.
 //
 // So per-client memory is O(dataset / S) + O(cache), proven with the
 // same byte accounting `SampleDirectory::shard_bytes` uses for the full
@@ -27,7 +26,7 @@
 // construction, and what the sharded mount changes is *time* (the RPC
 // round trip, charged by the caller) and *accounted memory* (this
 // class). The view itself is cost-free bookkeeping: it decides how a
-// lookup would have been served and maintains the caches; the caller
+// lookup would have been served and maintains the cache; the caller
 // charges fabric/CPU accordingly.
 
 #pragma once
@@ -50,21 +49,17 @@ enum class DirectoryMode : std::uint8_t {
 
 struct DirectoryConfig {
   DirectoryMode mode = DirectoryMode::kFull;
-  /// Capacity of the positive lookup cache (entries resolved remotely),
+  /// Capacity of the lookup cache (entries resolved remotely),
   /// LRU-evicted. Each cached entry is accounted at the same
   /// entry + id-row rate as a resident shard entry.
   std::size_t lookup_cache_entries = 4096;
-  /// Capacity of the negative cache (name hashes proven absent), so
-  /// repeated opens of a missing name cost one RPC, not one per open.
-  std::size_t negative_cache_entries = 1024;
 };
 
 struct DirectoryViewStats {
   std::uint64_t local_hits = 0;       // served by a resident shard
-  std::uint64_t cache_hits = 0;       // served by the positive cache
-  std::uint64_t negative_hits = 0;    // absent, answered by negative cache
+  std::uint64_t cache_hits = 0;       // served by the lookup cache
   std::uint64_t remote_lookups = 0;   // resolutions that need an RPC
-  std::uint64_t cache_evictions = 0;  // positive-cache LRU evictions
+  std::uint64_t cache_evictions = 0;  // lookup-cache LRU evictions
   /// Cached rows dropped because the sample's route set was republished
   /// (repair daemon) after the row was filled — served stale nowhere.
   std::uint64_t stale_invalidations = 0;
@@ -76,13 +71,11 @@ class DirectoryView {
   /// entry count); also the per-node slice the sharded mount's ring
   /// exchange moves instead of the whole shard.
   static constexpr std::uint64_t kPartitionRowBytes = 8;
-  /// Accounted size of one negative-cache row (the 64-bit name hash).
-  static constexpr std::uint64_t kNegativeRowBytes = 8;
 
   /// How one resolution was (or must be) served. kRemote means the
   /// caller owes an RPC round trip to the owner before calling
   /// complete_remote() with the result.
-  enum class Served : std::uint8_t { kLocal, kCached, kNegative, kRemote };
+  enum class Served : std::uint8_t { kLocal, kCached, kRemote };
 
   struct Resolution {
     const SampleEntry* entry = nullptr;  // null: absent, or kRemote pending
@@ -100,13 +93,12 @@ class DirectoryView {
   /// id -> owner-slot step reads the partition metadata, not the shard.
   [[nodiscard]] Resolution resolve_id(std::size_t sample_id);
 
-  /// Resolution by name (the dlfs_open path). Unknown names consult the
-  /// negative cache before going remote.
+  /// Resolution by name (the dlfs_open path).
   [[nodiscard]] Resolution resolve_name(std::string_view name);
 
   /// Deliver the owner's answer for a resolution that returned kRemote:
-  /// installs the entry in the positive cache (evicting LRU), or the key
-  /// in the negative cache when the owner reported the name absent.
+  /// installs the entry in the lookup cache (evicting LRU). A name the
+  /// owner reported absent is not cached; each miss pays its own RPC.
   void complete_remote(const Resolution& r, const SampleEntry* entry);
 
   [[nodiscard]] bool resident(std::uint16_t slot) const {
@@ -115,14 +107,14 @@ class DirectoryView {
   [[nodiscard]] const DirectoryViewStats& stats() const { return stats_; }
 
   /// Directory memory this client actually holds: partition map +
-  /// resident shards (at shard_bytes rates) + both caches. The full
+  /// resident shards (at shard_bytes rates) + the lookup cache. The full
   /// allgather equivalent is sum(shard_bytes) over every slot.
   [[nodiscard]] std::uint64_t resident_bytes() const;
 
  private:
-  // Positive-cache keys live in one uint64 space: ids tagged with a low
-  // 1-bit, name hashes shifted in with a low 0-bit, so the two access
-  // paths can never collide.
+  // Cache keys live in one uint64 space: ids tagged with a low 1-bit,
+  // name hashes shifted in with a low 0-bit, so the two access paths can
+  // never collide.
   static std::uint64_t id_key(std::size_t sample_id) {
     return (static_cast<std::uint64_t>(sample_id) << 1) | 1u;
   }
@@ -130,9 +122,13 @@ class DirectoryView {
     return name_hash << 1;
   }
 
+  /// The ladder both resolve_* share: a resident owner slot answers
+  /// kLocal (the caller walks the shard), then the lookup cache, else the
+  /// resolution goes remote.
+  [[nodiscard]] Resolution resolve(std::uint16_t owner_slot,
+                                   std::uint64_t key);
   [[nodiscard]] const SampleEntry* cache_find(std::uint64_t key);
   void cache_insert(std::uint64_t key, const SampleEntry* entry);
-  void negative_insert(std::uint64_t key);
 
   // Route-set version a cache row for `key` must match to be served:
   // id-keyed rows validate against the sample's own version, name-keyed
@@ -146,7 +142,7 @@ class DirectoryView {
   DirectoryConfig cfg_;
   std::vector<std::uint8_t> resident_;  // index = storage slot
 
-  // Positive cache: key -> entry, LRU order front = most recent.
+  // Lookup cache: key -> entry, LRU order front = most recent.
   struct CacheRow {
     const SampleEntry* entry;
     std::list<std::uint64_t>::iterator lru;
@@ -154,10 +150,6 @@ class DirectoryView {
   };
   std::unordered_map<std::uint64_t, CacheRow> cache_;
   std::list<std::uint64_t> lru_;
-
-  // Negative cache: FIFO over name-hash keys.
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> neg_;
-  std::list<std::uint64_t> neg_fifo_;
 
   DirectoryViewStats stats_;
 };

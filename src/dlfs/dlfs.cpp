@@ -36,7 +36,7 @@ std::vector<std::span<const std::byte>> window_views(
 }
 
 /// Piece lengths of a `len`-byte extent split at the chunk size — the
-/// split start_extents performs; prefetched buffers come back in exactly
+/// split start_extent performs; prefetched buffers come back in exactly
 /// these pieces.
 std::vector<std::uint32_t> piece_lens_of(std::uint32_t len,
                                          std::uint64_t chunk_bytes) {
@@ -68,8 +68,7 @@ std::uint16_t replica_probe(const std::string& name, std::uint16_t primary,
 }
 
 /// Metadata-RPC reply payload for the sharded directory: one packed
-/// entry plus its id-index row — what the owning node returns for a
-/// (positive or negative) lookup.
+/// entry plus its id-index row — what the owning node returns.
 constexpr std::uint64_t kLookupReplyBytes =
     SampleDirectory::kEntryBytes + SampleDirectory::kIdRowBytes;
 
@@ -664,20 +663,24 @@ dlsim::Task<void> DlfsInstance::charge_remote_lookup(std::uint16_t slot) {
   co_await io_core_->compute(walk);
 }
 
-dlsim::Task<const SampleEntry*> DlfsInstance::resolve_id_sharded(
+dlsim::Task<DlfsInstance::Resolved> DlfsInstance::resolve(
     std::uint32_t sample_id) {
-  DirectoryView::Resolution r = view_->resolve_id(sample_id);
-  if (r.served == DirectoryView::Served::kRemote) {
-    co_await charge_remote_lookup(r.owner_slot);
-    const SampleEntry* e = fleet_->directory_.lookup_id(sample_id);
-    view_->complete_remote(r, e);
-    co_return e;
+  // Out-of-range ids keep the classic path (and its error) in both modes:
+  // the partition map cannot route an id it has no row for.
+  if (view_ == nullptr || sample_id >= fleet_->directory_.num_samples()) {
+    co_return Resolved{fleet_->directory_.lookup_id(sample_id), true};
   }
   // Resident shards did the real tree walk inside resolve_id; cache hits
-  // charge the same local rate (the RPC round trip is the saving, not
-  // the probe).
-  co_await charge_lookup();
-  co_return r.entry;
+  // owe the same local rate (the RPC round trip is the saving, not the
+  // probe).
+  const DirectoryView::Resolution r = view_->resolve_id(sample_id);
+  if (r.served != DirectoryView::Served::kRemote) {
+    co_return Resolved{r.entry, true};
+  }
+  co_await charge_remote_lookup(r.owner_slot);
+  const SampleEntry* e = fleet_->directory_.lookup_id(sample_id);
+  view_->complete_remote(r, e);
+  co_return Resolved{e, false};
 }
 
 std::uint64_t DlfsInstance::directory_bytes() const {
@@ -951,12 +954,10 @@ dlsim::Task<bool> DlfsInstance::repair_one(std::uint32_t sample_id,
 
   // Stream the bytes from a surviving copy through the shared engine —
   // same pump, tag space and queue-depth budget as demand reads.
-  std::vector<mem::DmaBuffer> pieces;
   ReadExtent x;
   x.nid = sources.front().nid;
   x.offset = sources.front().offset;
   x.len = loc.len;
-  x.out_buffers = &pieces;
   x.routes.assign(sources.begin() + 1, sources.end());
   const ExtentOpPtr rop = engine_->start_extent(std::move(x));
   co_await engine_->await_op(*repair_core_, rop, 0);
@@ -964,7 +965,7 @@ dlsim::Task<bool> DlfsInstance::repair_one(std::uint32_t sample_id,
   if (rop->error()) co_return false;  // next membership wake retries
 
   const ExtentOpPtr wop = engine_->start_write(
-      dst->nid, dst->offset, std::move(pieces),
+      dst->nid, dst->offset, rop->take_buffers(),
       piece_lens_of(loc.len, fleet_->config_.chunk_bytes));
   co_await engine_->await_op(*repair_core_, wop, 0);
   if (!*alive) co_return false;
@@ -986,22 +987,10 @@ dlsim::Task<void> DlfsInstance::charge_frontend(
   for (const auto& pk : picks) {
     total += pk.count;
     for (std::uint32_t i = 0; i < pk.count; ++i) {
+      // Foreign ids pay their RPC here and fill the lookup cache, so a
+      // steady epoch's bread converges to mostly cache hits.
       const std::uint32_t id = pk.unit->samples[pk.first_sample + i].sample_id;
-      if (view_ == nullptr) {
-        (void)fleet_->directory_.lookup_id(id);  // real tree walk
-        ++local;
-        continue;
-      }
-      // Sharded mount: resident/cached ids stay at the local rate;
-      // foreign ids pay one metadata RPC and fill the lookup cache, so
-      // a steady epoch's bread converges to mostly cache hits.
-      DirectoryView::Resolution r = view_->resolve_id(id);
-      if (r.served == DirectoryView::Served::kRemote) {
-        co_await charge_remote_lookup(r.owner_slot);
-        view_->complete_remote(r, fleet_->directory_.lookup_id(id));
-      } else {
-        ++local;
-      }
+      if ((co_await resolve(id)).local) ++local;
     }
   }
   lookup_time_total_ += local * fleet_->config_.calibration.dlfs.dir_lookup;
@@ -1080,10 +1069,7 @@ dlsim::Task<SampleHandle> DlfsInstance::open(std::string_view name) {
       e = fleet_->directory_.lookup(name);
       view_->complete_remote(r, e);
     } else {
-      // kLocal / kCached / kNegative all answer from client-held state;
-      // a negative hit in particular spares the repeat RPC for a name
-      // the owner already reported absent.
-      co_await charge_lookup();
+      co_await charge_lookup();  // answered from client-held state
       e = r.entry;
     }
   } else {
@@ -1100,20 +1086,13 @@ dlsim::Task<SampleHandle> DlfsInstance::open(std::string_view name) {
 }
 
 dlsim::Task<SampleHandle> DlfsInstance::open_id(std::uint32_t sample_id) {
-  const SampleEntry* e = nullptr;
-  if (view_ && sample_id < fleet_->directory_.num_samples()) {
-    e = co_await resolve_id_sharded(sample_id);
-  } else {
-    // Out-of-range ids keep the classic path (and its error) in both
-    // modes: the partition map cannot route an id it has no row for.
-    co_await charge_lookup();
-    e = fleet_->directory_.lookup_id(sample_id);
-  }
-  if (e == nullptr) {
+  const Resolved r = co_await resolve(sample_id);
+  if (r.local) co_await charge_lookup();
+  if (r.entry == nullptr) {
     throw std::invalid_argument("dlfs_open: bad sample id " +
                                 std::to_string(sample_id));
   }
-  co_return SampleHandle{sample_id, e};
+  co_return SampleHandle{sample_id, r.entry};
 }
 
 dlsim::Task<SampleHandle> DlfsInstance::open_file(std::string_view name) {
@@ -1382,10 +1361,7 @@ dlsim::Task<void> DlfsInstance::consume(std::size_t max_samples,
     for (std::uint32_t i = 0; i < pk.count; ++i) {
       const UnitSample& us = pk.unit->samples[pk.first_sample + i];
       const std::uint32_t id = us.sample_id;
-      if (base) {
-        (void)fleet_->directory_.lookup_id(id);  // real tree walk
-        co_await charge_lookup();
-      }
+      if (base && (co_await resolve(id)).local) co_await charge_lookup();
       FetchedUnit* fu = co_await acquire_unit(uslot, &fatal);
       ++fu->delivered;
       if (fu->lends_spans) {

@@ -133,8 +133,10 @@ struct DlfsConfig {
   // How clients hold the sample directory after mount: kFull all-gathers
   // every shard to every client (§III-B, the default); kSharded keeps
   // each shard on its storage node and clients resolve foreign samples
-  // lazily over NVMe-oF metadata RPCs through a bounded lookup cache +
-  // negative cache, so per-client directory memory is O(dataset / S).
+  // lazily over NVMe-oF metadata RPCs through a bounded lookup cache, so
+  // per-client directory memory is O(dataset / S). Every resolution —
+  // bread's frontend, DLFS-Base's per-sample lookup, open, open_id —
+  // asks the same view and pays the same cost.
   DirectoryConfig directory{};
   // Cooperative peer sample cache: one consistent-hash cache directory
   // of advertised residency lets a client copy a sample out of a
@@ -409,11 +411,17 @@ class DlfsInstance {
   void maybe_release_unit(std::size_t uslot);
 
   dlsim::Task<void> charge_lookup();
-  /// Sharded-mount resolution of one sample id, costs included: resident
-  /// and cached ids charge the normal tree walk; foreign ids pay one
-  /// metadata RPC to the owning slot and fill the lookup cache. Must
-  /// only be called with view_ set.
-  dlsim::Task<const SampleEntry*> resolve_id_sharded(std::uint32_t sample_id);
+  struct Resolved {
+    const SampleEntry* entry = nullptr;  // null: no such sample
+    bool local = true;  // the caller owes the local walk rate
+  };
+  /// The one sample-id resolution of the demand path (bread frontend,
+  /// DLFS-Base's per-sample lookup, open_id) in either directory mode.
+  /// Ids the client holds — the full mount's copy, a resident shard, a
+  /// cached row — return `local`: the caller charges the walk, alone or
+  /// batched into one compute slice. A foreign id pays one metadata RPC
+  /// to the owning slot, walk included, and fills the lookup cache.
+  dlsim::Task<Resolved> resolve(std::uint32_t sample_id);
   /// One metadata RPC round trip to `slot`'s owner: request capsule,
   /// owner-side tree walk on the target's poller core, reply. Falls back
   /// to a local-rate walk when no transport path is up (the fault paths

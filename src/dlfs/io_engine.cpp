@@ -132,14 +132,7 @@ dlsim::Task<void> IoEngine::copy_thread_loop(std::size_t idx) {
 }
 
 dlsim::Task<void> IoEngine::enqueue_copy(CopyJob job) {
-  if (config_.copy_threads == 0) {
-    // No pool configured: the caller's context performs the copy. The
-    // cost is charged by run_copy_inline; here we only have the engine's
-    // own context, so execute directly with a bare delay.
-    co_await sim_->delay(cal_->dlfs.completion_handling + copy_cost(job));
-    do_copy(job);
-    co_return;
-  }
+  assert(config_.copy_threads > 0);
   co_await scq_->push(std::move(job));
 }
 
@@ -273,57 +266,44 @@ void IoEngine::promote_delayed() {
   }
 }
 
-std::vector<ExtentOpPtr> IoEngine::start_extents(
-    std::vector<ReadExtent> extents) {
-  dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
-  std::vector<ExtentOpPtr> ops;
-  ops.reserve(extents.size());
-  for (auto& x : extents) {
-    if (x.nid >= targets_.size() || targets_[x.nid] == nullptr) {
-      throw std::logic_error("read_extents: no queue for storage node " +
-                             std::to_string(x.nid));
-    }
-    if (!node_available(x.nid) && !advance_route(x)) {
-      // The node is known-down and no replica route survives: fail fast
-      // instead of queueing pieces that would only burn a timeout each.
-      // Callers route on the error kind.
-      auto op = std::make_shared<ExtentOp>(*sim_, std::move(x));
-      fail_op(*op, std::make_exception_ptr(IoError(
-                       op->extent.nid, op->extent.offset,
-                       IoErrorKind::kNodeDown)));
-      ops.push_back(std::move(op));
-      continue;
-    }
-    if (!x.dma_target.empty() && x.dma_target.size() < x.len) {
-      throw std::logic_error("start_extents: DMA target shorter than extent");
-    }
-    auto op = std::make_shared<ExtentOp>(*sim_, std::move(x));
-    std::uint64_t off = op->extent.offset;
-    std::uint32_t left = op->extent.len;
-    std::uint32_t idx = 0;
-    while (left > 0) {
-      const std::uint32_t n = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(left, config_.chunk_bytes));
-      to_post_.push_back(Piece{op, idx++, off, n, mem::DmaBuffer{}});
-      off += n;
-      left -= n;
-    }
-    op->pieces_total_ = idx;
-    if (op->extent.dma_target.empty()) op->buffers_.resize(idx);
-    op->lens_.resize(idx);
-    if (idx == 0) {  // zero-length extent: trivially done
-      op->finished_ = true;
-      op->done.set();
-    }
-    ops.push_back(std::move(op));
+ExtentOpPtr IoEngine::start_extent(ReadExtent x) {
+  if (x.nid >= targets_.size() || targets_[x.nid] == nullptr) {
+    throw std::logic_error("start_extent: no queue for storage node " +
+                           std::to_string(x.nid));
   }
-  return ops;
-}
-
-ExtentOpPtr IoEngine::start_extent(ReadExtent extent) {
-  std::vector<ReadExtent> one;
-  one.push_back(std::move(extent));
-  return start_extents(std::move(one)).front();
+  dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
+  if (!node_available(x.nid) && !advance_route(x)) {
+    // The node is known-down and no replica route survives: fail fast
+    // instead of queueing pieces that would only burn a timeout each.
+    // Callers route on the error kind.
+    auto op = std::make_shared<ExtentOp>(*sim_, std::move(x));
+    fail_op(*op, std::make_exception_ptr(IoError(
+                     op->extent.nid, op->extent.offset,
+                     IoErrorKind::kNodeDown)));
+    return op;
+  }
+  if (!x.dma_target.empty() && x.dma_target.size() < x.len) {
+    throw std::logic_error("start_extent: DMA target shorter than extent");
+  }
+  auto op = std::make_shared<ExtentOp>(*sim_, std::move(x));
+  std::uint64_t off = op->extent.offset;
+  std::uint32_t left = op->extent.len;
+  std::uint32_t idx = 0;
+  while (left > 0) {
+    const std::uint32_t n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(left, config_.chunk_bytes));
+    to_post_.push_back(Piece{op, idx++, off, n, mem::DmaBuffer{}});
+    off += n;
+    left -= n;
+  }
+  op->pieces_total_ = idx;
+  if (op->extent.dma_target.empty()) op->buffers_.resize(idx);
+  op->lens_.resize(idx);
+  if (idx == 0) {  // zero-length extent: trivially done
+    op->finished_ = true;
+    op->done.set();
+  }
+  return op;
 }
 
 ExtentOpPtr IoEngine::start_write(std::uint16_t nid, std::uint64_t offset,
@@ -383,9 +363,6 @@ dlsim::Task<void> IoEngine::finish_extent(dlsim::CpuCore& core,
       co_await enqueue_copy(std::move(job));
     }
   } else {
-    if (x.out_buffers != nullptr) {
-      *x.out_buffers = std::move(op->buffers_);
-    }
     op->finished_ = true;
     op->done.set();
   }
@@ -536,7 +513,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
         continue;
       }
       if (st != spdk::IoStatus::kOk) {
-        throw std::runtime_error("unexpected submit failure in read_extents");
+        throw std::runtime_error("unexpected submit failure in pump");
       }
       ++posted_;
       {
@@ -658,30 +635,16 @@ dlsim::Task<void> IoEngine::await_op(dlsim::CpuCore& core, ExtentOpPtr op,
   if (!op->finished_) co_await op->done.wait();  // copy stage completing
 }
 
-dlsim::Task<void> IoEngine::read_extents(dlsim::CpuCore& core,
-                                         std::vector<ReadExtent> extents,
-                                         dlsim::SimDuration injected_compute) {
-  if (extents.empty()) co_return;
-  auto ops = start_extents(std::move(extents));
-  std::exception_ptr first_error;
-  for (auto& op : ops) {
-    co_await await_op(core, op, injected_compute);
-    injected_compute = 0;
-    if (op->error() && !first_error) first_error = op->error();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 dlsim::Task<void> IoEngine::read_one(dlsim::CpuCore& core, std::uint16_t nid,
                                      std::uint64_t offset, std::uint32_t len,
                                      std::byte* dst,
                                      std::optional<std::size_t>
                                          cache_sample_id,
                                      std::vector<RouteHop> routes) {
-  std::vector<ReadExtent> one(1);
-  one[0] = ReadExtent{nid,     offset, len, dst, cache_sample_id,
-                      nullptr, std::move(routes)};
-  co_await read_extents(core, std::move(one));
+  const ExtentOpPtr op = start_extent(
+      ReadExtent{nid, offset, len, dst, cache_sample_id, std::move(routes)});
+  co_await await_op(core, op);
+  if (op->error()) std::rethrow_exception(op->error());
 }
 
 dlsim::SimDuration IoEngine::copy_busy_ns() const {

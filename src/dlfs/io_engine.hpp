@@ -12,16 +12,19 @@
 //   copy  — a pool of copy threads drains the SCQ and memcpys sample data
 //           from the huge-page cache chunks to the application buffer
 //
-// Reads are modeled as *extent operations* (ExtentOp): start_extents()
-// splits each extent into chunk-sized pieces and queues them; await_op()
+// Reads are modeled as *extent operations* (ExtentOp): start_extent()
+// splits an extent into chunk-sized pieces and queues them; await_op()
 // drives the shared post/poll pump from the awaiting coroutine's core
 // until that one extent's data is delivered. Every ExtentOp carries its
 // own completion event, so independent consumers — dlfs_bread demand
 // fetches and the asynchronous prefetcher's read-ahead — share one
 // engine, one tag space and one queue-depth budget, and each awaits only
 // the extents it actually needs while the rest complete in the
-// background. read_extents() is the batch convenience built on top (start
-// everything, await everything).
+// background. A delivered extent's bytes go one of three ways: copied to
+// `dst` by the copy stage, handed back as chunk buffers (take_buffers),
+// or posted straight into a borrowed DMA target. read_one() is the
+// demand-path convenience (start one extent, await it, rethrow its
+// error).
 //
 // The pump runs *in the awaiting coroutine* (the paper drives DLFS with
 // one I/O thread on one core; that core is charged for all prep, post,
@@ -96,21 +99,20 @@ class IoError : public std::runtime_error {
   IoErrorKind kind;
 };
 
-/// One device extent to read. If `dst` is non-null the data is copied
-/// there by the copy stage; if additionally `cache_sample_id` is set, the
-/// chunks are retained in the sample cache afterwards (V bit set). If
-/// `dst` is null the chunks are handed back through `out_buffers`, or —
-/// when that is also null — retained on the ExtentOp for take_buffers()
-/// (the prefetcher's read-ahead path). A non-empty `dma_target` replaces
-/// all of that: the pieces are posted straight into it, no chunk is
-/// allocated and no copy stage runs.
+/// One device extent to read, delivered one of three ways:
+///   * `dst` non-null: the copy stage copies the data there; if
+///     additionally `cache_sample_id` is set, the chunks are retained in
+///     the sample cache afterwards (V bit set);
+///   * `dst` null: the chunks stay on the ExtentOp for take_buffers()
+///     (the prefetcher's read-ahead and the repair read);
+///   * `dma_target` non-empty: the pieces are posted straight into it, no
+///     chunk is allocated and no copy stage runs.
 struct ReadExtent {
   std::uint16_t nid = 0;
   std::uint64_t offset = 0;
   std::uint32_t len = 0;
   std::byte* dst = nullptr;
   std::optional<std::size_t> cache_sample_id{};
-  std::vector<mem::DmaBuffer>* out_buffers = nullptr;
   // Alternate placements of the same bytes (replica failover order). The
   // engine consumes hops from the front as it re-routes, so at any moment
   // the list holds exactly the untried alternates: when (nid, offset)
@@ -128,7 +130,7 @@ struct ReadExtent {
   std::span<std::byte> dma_target{};
 };
 
-/// Shared state of one in-flight extent read. Created by start_extents();
+/// Shared state of one in-flight extent read. Created by start_extent();
 /// `done` fires when the extent's data is delivered (copied, or its
 /// buffers handed over) or when it failed — check error() before touching
 /// the data. Failures are *stored*, never thrown from the pump, so a
@@ -145,8 +147,8 @@ class ExtentOp {
   [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] std::exception_ptr error() const { return error_; }
 
-  /// Chunk buffers of a buffer-handover extent (dst == nullptr,
-  /// out_buffers == nullptr, no dma_target), in on-device order.
+  /// Chunk buffers of a buffer-handover extent (dst == nullptr, no
+  /// dma_target), in on-device order.
   /// Transfers ownership; call once, after done.
   [[nodiscard]] std::vector<mem::DmaBuffer> take_buffers() {
     return std::move(buffers_);
@@ -195,12 +197,10 @@ class IoEngine {
   void attach_target(std::uint16_t nid, std::unique_ptr<spdk::IoQueue> queue);
   [[nodiscard]] std::size_t num_targets() const { return targets_.size(); }
 
-  /// Splits the extents into chunk-sized pieces and queues them for
+  /// Splits the extent into chunk-sized pieces and queues them for
   /// posting. Nothing is submitted until some coroutine drives the pump
   /// via await_op() — posting, polling and completion handling are
   /// charged to whichever cores await.
-  [[nodiscard]] std::vector<ExtentOpPtr> start_extents(
-      std::vector<ReadExtent> extents);
   [[nodiscard]] ExtentOpPtr start_extent(ReadExtent extent);
 
   /// Queues a write of `pieces` (pool-owned buffers, `lens[i]` bytes each,
@@ -222,16 +222,9 @@ class IoEngine {
       dlsim::CpuCore& core, ExtentOpPtr op,
       dlsim::SimDuration injected_compute = 0);
 
-  /// Reads a batch of extents; resumes when every extent's data has been
-  /// copied (or its buffers handed over). `core` is the I/O thread's CPU.
-  /// `injected_compute` > 0 folds that much application computation into
-  /// the batch's polling loop (Fig. 7b). Rethrows the first extent error.
-  [[nodiscard]] dlsim::Task<void> read_extents(
-      dlsim::CpuCore& core, std::vector<ReadExtent> extents,
-      dlsim::SimDuration injected_compute = 0);
-
   /// Convenience: one extent, synchronously (the dlfs_read fast path —
-  /// "DLFS-Base" when used for every sample).
+  /// "DLFS-Base" when used for every sample). Rethrows the extent's
+  /// error.
   [[nodiscard]] dlsim::Task<void> read_one(dlsim::CpuCore& core,
                                            std::uint16_t nid,
                                            std::uint64_t offset,
@@ -241,7 +234,8 @@ class IoEngine {
                                            std::vector<RouteHop> routes = {});
 
   /// Enqueues a copy of already-resident bytes (cache hits, chunk-batched
-  /// sample delivery). The latch is counted down after the memcpy.
+  /// sample delivery) for the copy-thread pool; requires copy_threads >
+  /// 0. The latch is counted down after the memcpy.
   [[nodiscard]] dlsim::Task<void> enqueue_copy(CopyJob job);
 
   /// Copy-stage work executed inline when copy_threads == 0; exposed so

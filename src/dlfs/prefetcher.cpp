@@ -16,9 +16,8 @@ Prefetcher::Prefetcher(dlsim::Simulator& sim, IoEngine& engine,
       chunk_bytes_(chunk_bytes),
       cfg_(config),
       wake_(sim) {
-  cfg_.max_units = std::max(cfg_.max_units, cfg_.min_units);
-  window_target_ =
-      std::clamp(cfg_.initial_units, cfg_.min_units, cfg_.max_units);
+  cfg_.max_units = std::max(cfg_.max_units, kMinUnits);
+  window_target_ = std::clamp(cfg_.initial_units, kMinUnits, cfg_.max_units);
   stats_.window_target = window_target_;
   core_ = std::make_unique<dlsim::CpuCore>(sim, name);
   if (cfg_.enabled) sim.spawn_daemon(daemon_loop(), name);
@@ -77,7 +76,7 @@ void Prefetcher::issue_entry(std::size_t slot, std::vector<UnitExtent> xs,
   }
   e.extents.reserve(xs.size());
   for (auto& x : xs) {
-    ReadExtent rx{x.nid, x.offset, x.len, nullptr, std::nullopt, nullptr,
+    ReadExtent rx{x.nid, x.offset, x.len, nullptr, std::nullopt,
                   std::move(x.routes)};
     if (x.placement) rx.dma_target = e.landing.span().subspan(*x.placement);
     Extent ex;
@@ -126,8 +125,7 @@ void Prefetcher::top_up() {
       // the depth actually sustained instead of thrashing.
       const auto depth = static_cast<std::uint32_t>(
           next_issue_ > demand_floor_ ? next_issue_ - demand_floor_ : 0);
-      const auto floor_target =
-          std::clamp(depth, cfg_.min_units, window_target_);
+      const auto floor_target = std::clamp(depth, kMinUnits, window_target_);
       if (window_target_ > floor_target) {
         window_target_ = floor_target;
         ++stats_.window_shrinks;
@@ -179,7 +177,7 @@ bool Prefetcher::relieve_pressure() {
     (void)x.op->take_buffers();  // DmaBuffers drop -> chunks freed
   }
   ++stats_.units_dropped;
-  if (window_target_ > cfg_.min_units) {
+  if (window_target_ > kMinUnits) {
     --window_target_;
     ++stats_.window_shrinks;
     stats_.window_target = window_target_;

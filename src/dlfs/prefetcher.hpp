@@ -5,9 +5,8 @@
 // dlfs_sequence hands every client the *entire* epoch access order up
 // front, so — exactly as clairvoyant prefetching systems (NoPFS) exploit
 // — there is nothing speculative about read-ahead: the next read units
-// are known. The seed implementation nevertheless appended its
-// "read-ahead" units to the same blocking read_extents call the consumer
-// waited on, inflating bread latency instead of hiding it.
+// are known. Appending "read-ahead" units to the blocking read the
+// consumer waits on would inflate bread latency instead of hiding it.
 //
 // The Prefetcher is a per-instance daemon coroutine (own CpuCore, like
 // the SCQ copy threads) that walks a *read-unit* order ahead of the
@@ -27,9 +26,10 @@
 //     consumer has demanded so far — units of the current batch do not
 //     count against it, so the daemon keeps reading ahead of the batch
 //     even while the consumer is busy acquiring it;
-//   * target starts at clamp(initial_units, min, max) and grows by one
-//     on every acquire() that had to stall — a stall means the window was
-//     not deep enough to cover the consumer's inter-arrival time;
+//   * target starts at clamp(initial_units, kMinUnits, max_units) and
+//     grows by one on every acquire() that had to stall — a stall means
+//     the window was not deep enough to cover the consumer's
+//     inter-arrival time;
 //   * it shrinks when top_up finds the instance's own huge-page pool
 //     unable to hold the next unit beyond `kReserveChunks` of headroom
 //     (the target drops to the depth actually sustained), and when the
@@ -76,7 +76,6 @@ struct PrefetcherConfig {
   // read-ahead in chunk mode) and returns once all of them have landed.
   // Kept as the ablation baseline.
   bool enabled = true;
-  std::uint32_t min_units = 1;      // adaptive window lower bound
   std::uint32_t max_units = 32;     // adaptive window upper bound
   std::uint32_t initial_units = 4;  // starting window target; also the
                                     // synchronous chunk read-ahead depth
@@ -204,6 +203,8 @@ class Prefetcher {
     bool replanned = false;  // its first acquire already counted the pick
   };
 
+  // Adaptive window lower bound.
+  static constexpr std::uint32_t kMinUnits = 1;
   // Pool chunks kept free for demand fetches and the sample cache when
   // sizing read-ahead; top_up never takes the pool below this.
   static constexpr std::uint64_t kReserveChunks = 8;

@@ -1,15 +1,17 @@
 // Tests for the sharded sample directory: lazy remote resolution through
-// the owner's metadata RPC, the bounded positive/negative lookup caches,
-// the O(dataset/S) per-client memory claim (byte-accounted), and epoch
-// delivery identity between the sharded and full-allgather mounts. The
-// DirectoryMatrix suite is mode-agnostic: the ctest registration runs it
-// once per DirectoryMode via DLFS_TEST_DIRECTORY.
+// the owner's metadata RPC, the bounded lookup cache, DLFS-Base paying the
+// same resolution as batched bread, the O(dataset/S) per-client memory
+// claim (byte-accounted), and epoch delivery identity between the
+// sharded and full-allgather mounts. The DirectoryMatrix suite is
+// mode-agnostic: the ctest registration runs it once per DirectoryMode via
+// DLFS_TEST_DIRECTORY.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -165,7 +167,7 @@ TEST(ShardedDirectory, CoLocatedShardServesLocally) {
   EXPECT_GT(st.remote_lookups, 0u);
 }
 
-TEST(ShardedDirectory, NegativeCacheAnswersRepeatMisses) {
+TEST(ShardedDirectory, EachMissingNameThrowsAndPaysItsOwnRpc) {
   auto cfg = sharded_cfg();
   Rig rig(dlfs::dataset::make_fixed_size_dataset(64, 4096), cfg,
           /*nodes=*/3, /*clients=*/{2}, /*storage=*/{0, 1});
@@ -184,11 +186,10 @@ TEST(ShardedDirectory, NegativeCacheAnswersRepeatMisses) {
     }
   }(rig, inst));
 
+  // Absent names are not cached: every miss asks the owner again.
   const auto& st = inst.stats().directory;
-  // First miss pays the RPC and seeds the negative cache; the second is
-  // answered client-side.
-  EXPECT_EQ(st.remote_lookups, 1u);
-  EXPECT_EQ(st.negative_hits, 1u);
+  EXPECT_EQ(st.remote_lookups, 2u);
+  EXPECT_EQ(st.cache_hits, 0u);
 }
 
 TEST(ShardedDirectory, LookupCacheEvictsAtCapacity) {
@@ -221,7 +222,6 @@ TEST(ShardedDirectory, PerClientBytesStrictlyBelowFullAllgather) {
   // after a whole epoch has filled the lookup cache.
   auto cfg = sharded_cfg();
   cfg.directory.lookup_cache_entries = 128;
-  cfg.directory.negative_cache_entries = 64;
   Rig rig(dlfs::dataset::make_fixed_size_dataset(2048, 4096), cfg,
           /*nodes=*/5, /*clients=*/{4}, /*storage=*/{0, 1, 2, 3});
   auto& inst = rig.fleet.instance(0);
@@ -239,8 +239,43 @@ TEST(ShardedDirectory, PerClientBytesStrictlyBelowFullAllgather) {
   EXPECT_LE(view->resident_bytes(),
             dlfs::core::DirectoryView::kPartitionRowBytes * 4 +
                 128 * (dlfs::core::SampleDirectory::kEntryBytes +
-                       dlfs::core::SampleDirectory::kIdRowBytes) +
-                64 * dlfs::core::DirectoryView::kNegativeRowBytes);
+                       dlfs::core::SampleDirectory::kIdRowBytes));
+}
+
+TEST(ShardedDirectory, BaseEpochResolvesEverySampleThroughTheView) {
+  // DLFS-Base is a loop of dlfs_reads, each paying its own lookup: with
+  // the client on a node that holds no shard, every first resolution of
+  // a sample is a metadata RPC to its owner — the same resolution the
+  // batched frontend pays. The full mount keeps no view, so its
+  // directory counters stay 0.
+  auto run = [](DirectoryMode mode) {
+    DlfsConfig cfg;
+    cfg.batching = BatchingMode::kNone;
+    cfg.directory.mode = mode;
+    Rig rig(dlfs::dataset::make_fixed_size_dataset(256, 4096), cfg,
+            /*nodes=*/5, /*clients=*/{4}, /*storage=*/{0, 1, 2, 3});
+    auto& inst = rig.fleet.instance(0);
+    if (const auto* view = inst.directory_view()) {
+      for (std::uint16_t slot = 0; slot < 4; ++slot) {
+        EXPECT_FALSE(view->resident(slot));
+      }
+    }
+    const auto ids = drain_epoch(rig, inst, /*seed=*/3);
+    EXPECT_EQ(ids.size(), 256u);
+    return std::pair{std::set<std::uint32_t>(ids.begin(), ids.end()).size(),
+                     inst.stats().directory};
+  };
+  const auto [first_time, sharded] = run(DirectoryMode::kSharded);
+  EXPECT_EQ(sharded.remote_lookups, first_time);
+  EXPECT_EQ(sharded.local_hits, 0u);
+  EXPECT_EQ(sharded.cache_hits, 0u);
+
+  const auto full = run(DirectoryMode::kFull).second;
+  EXPECT_EQ(full.local_hits, 0u);
+  EXPECT_EQ(full.cache_hits, 0u);
+  EXPECT_EQ(full.remote_lookups, 0u);
+  EXPECT_EQ(full.cache_evictions, 0u);
+  EXPECT_EQ(full.stale_invalidations, 0u);
 }
 
 TEST(ShardedDirectory, EpochByteIdenticalToFullMount) {

@@ -19,6 +19,7 @@
 
 namespace {
 
+using dlfs::core::ExtentOpPtr;
 using dlfs::core::IoEngine;
 using dlfs::core::IoEngineConfig;
 using dlfs::core::ReadExtent;
@@ -59,13 +60,23 @@ struct EngineRig {
     }
   }
 
-  void read(std::vector<ReadExtent> extents) {
+  /// Starts every extent, then awaits each in order (the pump serves
+  /// them all), rethrowing the first extent error. Returns the ops.
+  std::vector<ExtentOpPtr> read(std::vector<ReadExtent> extents) {
+    std::vector<ExtentOpPtr> ops;
+    for (ReadExtent& x : extents) {
+      ops.push_back(engine->start_extent(std::move(x)));
+    }
     sim.spawn([](IoEngine& e, CpuCore& c,
-                 std::vector<ReadExtent> xs) -> Task<void> {
-      co_await e.read_extents(c, std::move(xs));
-    }(*engine, core, std::move(extents)));
+                 std::vector<ExtentOpPtr> ops) -> Task<void> {
+      for (const ExtentOpPtr& op : ops) {
+        co_await e.await_op(c, op);
+        if (op->error()) std::rethrow_exception(op->error());
+      }
+    }(*engine, core, ops));
     sim.run();
     sim.rethrow_failures();
+    return ops;
   }
 };
 
@@ -73,7 +84,7 @@ TEST(IoEngine, SingleExtentCopiesExactBytes) {
   EngineRig rig;
   std::vector<std::byte> dst(10000), want(10000);
   rig.devices[0]->store().read(4096, want);
-  rig.read({ReadExtent{0, 4096, 10000, dst.data(), std::nullopt, nullptr}});
+  rig.read({ReadExtent{0, 4096, 10000, dst.data()}});
   EXPECT_EQ(std::memcmp(dst.data(), want.data(), want.size()), 0);
 }
 
@@ -86,7 +97,7 @@ TEST(IoEngine, BorrowedDmaTargetLandsInPlaceWithoutChunkOrCopy) {
   const std::uint32_t offs[] = {0, 5000, 70000};
   std::vector<ReadExtent> xs;
   for (const std::uint32_t o : offs) {
-    ReadExtent x{0, 1_MiB + o, 3000, nullptr, std::nullopt, nullptr};
+    ReadExtent x{0, 1_MiB + o, 3000, nullptr};
     x.dma_target = landing.span().subspan(o);
     xs.push_back(std::move(x));
   }
@@ -105,7 +116,7 @@ TEST(IoEngine, BorrowedDmaTargetLandsInPlaceWithoutChunkOrCopy) {
 TEST(IoEngine, LargeExtentSplitsIntoChunkRequests) {
   EngineRig rig;
   std::vector<std::byte> dst(1_MiB);
-  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt, nullptr}});
+  rig.read({ReadExtent{0, 0, 1_MiB, dst.data()}});
   // 1 MiB at 256 KiB chunks = 4 requests.
   EXPECT_EQ(rig.engine->requests_posted(), 4u);
   EXPECT_EQ(rig.engine->completions_harvested(), 4u);
@@ -121,8 +132,7 @@ TEST(IoEngine, PoolBackpressureStillCompletes) {
                                            std::vector<std::byte>(64_KiB));
   std::vector<ReadExtent> xs;
   for (std::size_t i = 0; i < dsts.size(); ++i) {
-    xs.push_back(ReadExtent{0, i * 64_KiB, 64_KiB, dsts[i].data(),
-                            std::nullopt, nullptr});
+    xs.push_back(ReadExtent{0, i * 64_KiB, 64_KiB, dsts[i].data()});
   }
   rig.read(std::move(xs));
   EXPECT_EQ(rig.engine->bytes_copied(), 12 * 64_KiB);
@@ -141,9 +151,7 @@ TEST(IoEngine, CacheYieldsChunksUnderPoolPressure) {
   for (std::size_t id = 0; id < 10; ++id) {
     rig.sim.spawn([](IoEngine& e, CpuCore& c, std::byte* d,
                      std::size_t id) -> Task<void> {
-      std::vector<ReadExtent> xs = {
-          ReadExtent{0, id * 4096, 4096, d, id, nullptr}};
-      co_await e.read_extents(c, std::move(xs));
+      co_await e.read_one(c, 0, id * 4096, 4096, d, id);
     }(*rig.engine, rig.core, dst.data(), id));
     rig.sim.run();
     rig.sim.rethrow_failures();
@@ -158,8 +166,7 @@ TEST(IoEngine, MultiTargetBatchReadsInParallel) {
   std::vector<std::vector<std::byte>> dsts(4, std::vector<std::byte>(128_KiB));
   std::vector<ReadExtent> xs;
   for (std::uint16_t d = 0; d < 4; ++d) {
-    xs.push_back(ReadExtent{d, 0, 128_KiB, dsts[d].data(), std::nullopt,
-                            nullptr});
+    xs.push_back(ReadExtent{d, 0, 128_KiB, dsts[d].data()});
   }
   const auto t0 = rig.sim.now();
   rig.read(std::move(xs));
@@ -178,8 +185,7 @@ TEST(IoEngine, QueueDepthPipelinesOneTarget) {
   std::vector<std::vector<std::byte>> dsts(kN, std::vector<std::byte>(4096));
   std::vector<ReadExtent> xs;
   for (std::size_t i = 0; i < kN; ++i) {
-    xs.push_back(ReadExtent{0, i * 4096, 4096, dsts[i].data(), std::nullopt,
-                            nullptr});
+    xs.push_back(ReadExtent{0, i * 4096, 4096, dsts[i].data()});
   }
   const auto t0 = rig.sim.now();
   rig.read(std::move(xs));
@@ -191,8 +197,8 @@ TEST(IoEngine, QueueDepthPipelinesOneTarget) {
 
 TEST(IoEngine, BuffersHandedOverWhenDstIsNull) {
   EngineRig rig;
-  std::vector<dlfs::mem::DmaBuffer> buffers;
-  rig.read({ReadExtent{0, 0, 600 * 1024, nullptr, std::nullopt, &buffers}});
+  const auto ops = rig.read({ReadExtent{0, 0, 600 * 1024, nullptr}});
+  const std::vector<dlfs::mem::DmaBuffer> buffers = ops[0]->take_buffers();
   ASSERT_EQ(buffers.size(), 3u);  // ceil(600K / 256K)
   std::vector<std::byte> want(256_KiB);
   rig.devices[0]->store().read(0, want);
@@ -202,8 +208,7 @@ TEST(IoEngine, BuffersHandedOverWhenDstIsNull) {
 TEST(IoEngine, CacheInsertionSetsVBit) {
   EngineRig rig;
   std::vector<std::byte> dst(4096);
-  rig.read({ReadExtent{0, 0, 4096, dst.data(), /*cache_sample_id=*/7,
-                       nullptr}});
+  rig.read({ReadExtent{0, 0, 4096, dst.data(), /*cache_sample_id=*/7}});
   EXPECT_TRUE(rig.cache.valid(7));
   auto views = rig.cache.pin(7);
   ASSERT_EQ(views.size(), 1u);
@@ -216,7 +221,7 @@ TEST(IoEngine, CopyThreadsAccrueBusyTime) {
   cfg.copy_threads = 2;
   EngineRig rig(cfg);
   std::vector<std::byte> dst(1_MiB);
-  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt, nullptr}});
+  rig.read({ReadExtent{0, 0, 1_MiB, dst.data()}});
   // 1 MiB at 8 GB/s ~= 131us of copy time across the pool.
   EXPECT_GT(rig.engine->copy_busy_ns(), 100_us);
 }
@@ -227,7 +232,7 @@ TEST(IoEngine, InlineCopyChargesCallerCore) {
   EngineRig rig(cfg);
   std::vector<std::byte> dst(1_MiB);
   const auto busy0 = rig.core.busy_ns();
-  rig.read({ReadExtent{0, 0, 1_MiB, dst.data(), std::nullopt, nullptr}});
+  rig.read({ReadExtent{0, 0, 1_MiB, dst.data()}});
   EXPECT_GT(rig.core.busy_ns() - busy0, 100_us);
   EXPECT_EQ(rig.engine->copy_busy_ns(), 0u);
 }
@@ -237,18 +242,10 @@ TEST(IoEngine, UnknownTargetThrows) {
   std::vector<std::byte> dst(512);
   auto p = rig.sim.spawn([](IoEngine& e, CpuCore& c,
                             std::byte* d) -> Task<void> {
-    std::vector<ReadExtent> xs = {
-        ReadExtent{9, 0, 512, d, std::nullopt, nullptr}};
-    co_await e.read_extents(c, std::move(xs));
+    co_await e.read_one(c, 9, 0, 512, d);
   }(*rig.engine, rig.core, dst.data()));
   rig.sim.run(/*allow_blocked=*/true);
   EXPECT_TRUE(p.failed());
-}
-
-TEST(IoEngine, EmptyBatchIsNoop) {
-  EngineRig rig;
-  rig.read({});
-  EXPECT_EQ(rig.engine->requests_posted(), 0u);
 }
 
 // Parameterized sweep: every (sample size, chunk size) combination must
@@ -264,7 +261,7 @@ TEST_P(EngineSweep, ExactBytesAndRequestAccounting) {
   EngineRig rig(cfg, 1, /*pool_chunks=*/256);
   std::vector<std::byte> dst(len), want(len);
   rig.devices[0]->store().read(12345, want);
-  rig.read({ReadExtent{0, 12345, len, dst.data(), std::nullopt, nullptr}});
+  rig.read({ReadExtent{0, 12345, len, dst.data()}});
   EXPECT_EQ(std::memcmp(dst.data(), want.data(), len), 0);
   EXPECT_EQ(rig.engine->requests_posted(), dlfs::ceil_div(len, chunk));
   EXPECT_EQ(rig.engine->bytes_copied(), len);

@@ -132,7 +132,6 @@ TEST(Prefetcher, WarmWindowBreadDoesNotStall) {
   // accumulate zero additional stall time.
   auto cfg = chunk_cfg();
   cfg.prefetch.initial_units = 16;
-  cfg.prefetch.min_units = 16;
   cfg.prefetch.max_units = 16;
   // 128 KiB samples, 256 KiB chunks: one bread of 8 spans 4 read units.
   Rig rig(dlfs::dataset::make_fixed_size_dataset(128, 128_KiB), cfg);
@@ -167,7 +166,6 @@ TEST(Prefetcher, SampleLevelWarmWindowBreadDoesNotStall) {
   // whole next group resident.
   auto cfg = sample_cfg();
   cfg.prefetch.initial_units = 16;
-  cfg.prefetch.min_units = 16;
   cfg.prefetch.max_units = 16;
   cfg.prefetch.group_samples = 8;
   Rig rig(dlfs::dataset::make_fixed_size_dataset(256, 4096), cfg);
