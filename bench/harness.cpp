@@ -124,6 +124,8 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
     r.bytes_zero_copy += st.bytes_zero_copy;
     r.view_pins_active += st.view_pins_active;
     r.cross_core_handoffs += st.cross_core_handoffs;
+    r.poll_wait_ns += st.poll_wait_ns;
+    r.poll_wakeups += st.poll_wakeups;
     const core::PrefetchStats& ps = st.prefetch;
     r.prefetch.units_issued += ps.units_issued;
     r.prefetch.units_resident_at_pick += ps.units_resident_at_pick;
@@ -452,6 +454,8 @@ std::string JsonReport::write() const {
         << ", \"bytes_zero_copy\": " << r.bytes_zero_copy
         << ", \"view_pins_active\": " << r.view_pins_active
         << ", \"cross_core_handoffs\": " << r.cross_core_handoffs
+        << ", \"poll_wait_ns\": " << r.poll_wait_ns
+        << ", \"poll_wakeups\": " << r.poll_wakeups
         << ", \"prefetch_units_issued\": " << p.units_issued
         << ", \"prefetch_units_resident_at_pick\": "
         << p.units_resident_at_pick

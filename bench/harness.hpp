@@ -78,6 +78,10 @@ struct RunResult {
   std::uint64_t bytes_zero_copy = 0;
   std::uint64_t view_pins_active = 0;
   std::uint64_t cross_core_handoffs = 0;
+  // Busy-poll idling summed over clients: busy ns spent spinning with
+  // nothing to harvest, and the waits that ended.
+  std::uint64_t poll_wait_ns = 0;
+  std::uint64_t poll_wakeups = 0;
   core::PrefetchStats prefetch{};
   // Fault-domain counters, summed over clients: device-level retries, the
   // transport's timeout/reconnect tallies, samples the degraded epoch

@@ -800,11 +800,7 @@ dlsim::Task<bool> DlfsInstance::try_peer_read(std::uint32_t sample_id,
   // The bulk transfer is charged to the requesting tenant exactly like a
   // device read of the same bytes — a peer read must not let a capped
   // job dodge its QoS share.
-  if (fleet_->tenant_) {
-    while (!fleet_->tenant_->try_admit(len)) {
-      co_await io_core_->compute(costs.poll_iteration);
-    }
-  }
+  if (fleet_->tenant_) co_await engine_->admit(*io_core_, len);
   // Holder-side serve (verbs recv + RDMA post) on the holder's core; the
   // data path itself is one-sided, so there is no holder-side copy.
   co_await holder.io_core_->compute(costs.peer_serve);

@@ -242,6 +242,10 @@ struct InstanceStats {
   // Copy jobs executed on a different core than the one that produced
   // them (each paid DlfsCosts::cross_core_handoff).
   std::uint64_t cross_core_handoffs = 0;
+  // Busy-poll idling: busy ns the engine's pumpers were charged while
+  // spinning with nothing to harvest, and how many such waits ended.
+  std::uint64_t poll_wait_ns = 0;
+  std::uint64_t poll_wakeups = 0;
   // Prefetcher counters: resident-at-pick / stall / window telemetry. In
   // synchronous mode every unit a bread issues counts, and the window
   // never grows.
@@ -365,6 +369,8 @@ class DlfsInstance {
     s.bytes_zero_copy = bytes_zero_copy_;
     for (const auto& [slot, fu] : fetched_) s.view_pins_active += fu.view_pins;
     s.cross_core_handoffs = engine_->cross_core_handoffs();
+    s.poll_wait_ns = engine_->poll_wait_ns();
+    s.poll_wakeups = engine_->poll_wakeups();
     s.prefetch = prefetcher_->stats();
     s.nodes_declared_dead = nodes_declared_dead_;
     s.samples_rereplicated = samples_rereplicated_;

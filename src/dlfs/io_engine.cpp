@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "common/units.hpp"
 
@@ -11,7 +12,12 @@ namespace dlfs::core {
 IoEngine::IoEngine(dlsim::Simulator& sim, mem::HugePagePool& pool,
                    SampleCache& cache, const Calibration& cal,
                    const IoEngineConfig& config)
-    : sim_(&sim), pool_(&pool), cache_(&cache), cal_(&cal), config_(config) {
+    : sim_(&sim),
+      pool_(&pool),
+      cache_(&cache),
+      cal_(&cal),
+      config_(config),
+      bell_(sim) {
   scq_ = std::make_unique<dlsim::Channel<CopyJob>>(sim, kScqCapacity);
   for (std::uint32_t i = 0; i < config_.copy_threads; ++i) {
     copy_cores_.push_back(
@@ -27,6 +33,7 @@ IoEngine::IoEngine(dlsim::Simulator& sim, mem::HugePagePool& pool,
 
 IoEngine::~IoEngine() {
   *alive_ = false;
+  if (tenant_) tenant_->unwatch(&bell_);
   scq_->close();
 }
 
@@ -57,6 +64,7 @@ dlsim::Task<void> IoEngine::probe_loop(std::shared_ptr<bool> alive) {
 void IoEngine::attach_target(std::uint16_t nid,
                              std::unique_ptr<spdk::IoQueue> queue) {
   if (targets_.size() <= nid) targets_.resize(nid + 1);
+  queue->set_doorbell(&bell_, kWorkLine);
   targets_[nid] = std::move(queue);
 }
 
@@ -96,6 +104,7 @@ void IoEngine::do_copy(CopyJob& job) {
     --copies_pending_;
     job.op->finished_ = true;
     job.op->done.set();
+    work_changed();
   }
 }
 
@@ -142,35 +151,88 @@ dlsim::Task<void> IoEngine::run_copy_inline(dlsim::CpuCore& core,
   do_copy(job);
 }
 
-dlsim::Task<void> IoEngine::wait_any(dlsim::CpuCore& core) {
-  // Busy-polling: all waiting time is CPU time (SPDK semantics). If every
-  // outstanding queue is a local device queue the completion time is
-  // knowable and we jump straight there; any remote queue forces quantum
-  // polling.
-  std::optional<dlsim::SimTime> known;
-  bool any_unknown = false;
+dlsim::Task<bool> IoEngine::wait_any(dlsim::CpuCore& core,
+                                     std::uint64_t since, Blocked blocked) {
+  // Busy-polling: all waiting time is CPU time (SPDK semantics), but the
+  // spin is charged, not simulated. Its first step jumps straight to the
+  // earliest known event when every outstanding queue announces its
+  // completions (local devices), and is one poll quantum otherwise; after
+  // that it alternates a post look and, poll_iteration x polled queues
+  // later, a poll look. The pumper sleeps until the first look that can
+  // see something new: a known completion, retry or deadline, or a ring.
+  const dlsim::SimTime now = sim_->now();
+  std::uint64_t polled = 0;
+  bool unannounced = false;  // some queue's completions arrive as rings
+  std::optional<dlsim::SimTime> landing;   // earliest known completion
+  std::optional<dlsim::SimTime> deadline;  // earliest command timeout
+  const auto earliest = [](std::optional<dlsim::SimTime>& a, dlsim::SimTime t) {
+    a = a ? std::min(*a, t) : t;
+  };
   for (const auto& q : targets_) {
     if (!q || q->outstanding() == 0) continue;
-    if (auto t = q->next_completion_at()) {
-      known = known ? std::min(*known, *t) : *t;
+    ++polled;
+    if (const auto t = q->next_completion_at()) {
+      earliest(landing, *t);
     } else {
-      any_unknown = true;
+      unannounced = true;
     }
+    if (const auto t = q->next_timeout_at()) earliest(deadline, *t);
   }
-  if (!known && !any_unknown && !delayed_.empty()) {
-    // Nothing in flight — only backed-off retries. Spin until the
-    // earliest one is due.
+  std::optional<dlsim::SimTime> due;  // earliest backed-off retry
+  {
     dlsim::AccessSlice slice{pieces_ledger_, /*write=*/false};
-    dlsim::SimTime due = delayed_.front().not_before;
-    for (const Piece& p : delayed_) due = std::min(due, p.not_before);
-    known = due;
+    for (const Piece& p : delayed_) earliest(due, p.not_before);
   }
-  const dlsim::SimTime now = sim_->now();
-  if (!any_unknown && known && *known > now) {
-    co_await core.compute(*known - now);
-  } else {
-    co_await core.compute(kPollQuantum);
+  std::optional<dlsim::SimTime> next = landing;
+  if (due) earliest(next, *due);
+  const dlsim::SpinGrid grid{
+      now, !unannounced && next && *next > now ? *next - now : kPollQuantum,
+      cal_->dlfs.poll_iteration * polled, kPollQuantum};
+  std::optional<std::uint64_t> timer;
+  const auto look_by = [&timer](std::uint64_t look) {
+    timer = timer ? std::min(*timer, look) : look;
+  };
+  if (due) look_by(grid.first_post_at_or_after(*due));
+  if (landing) look_by(grid.round_polling_at_or_after(*landing));
+  if (deadline) look_by(grid.round_polling_at_or_after(*deadline));
+  // Pool space and cache evictability are not announced: a pumper stuck
+  // on the pool looks at every post look, as the spin did.
+  if (blocked == Blocked::kPool) look_by(0);
+  const dlsim::Doorbell::Lines lines =
+      kWorkLine | (blocked == Blocked::kTenant ? kTenantLine : 0);
+  const std::uint64_t look =
+      co_await bell_.idle(core, grid, lines, since, timer);
+  ++poll_wakeups_;
+  poll_wait_ns_ += grid.at(look) - now;
+  if (blocked == Blocked::kTenant) {
+    // Every post look spun through asked the governor again, in vain.
+    const std::uint64_t asks = grid.posts_before(look);
+    qos_deferrals_ += asks;
+    tenant_->count_deferrals(asks);
   }
+  co_return grid.is_poll(look);
+}
+
+dlsim::Task<void> IoEngine::admit(dlsim::CpuCore& core, std::uint32_t bytes) {
+  // The asker spins on the governor once per poll_iteration; it idles on
+  // the tenant line between asks that could change the answer.
+  const dlsim::SimDuration step = cal_->dlfs.poll_iteration;
+  for (;;) {
+    const std::uint64_t since = bell_.stamp();
+    if (tenant_->try_admit(bytes)) co_return;
+    const dlsim::SpinGrid grid{sim_->now(), step, 0, step};
+    const std::uint64_t look =
+        co_await bell_.idle(core, grid, kTenantLine, since, std::nullopt);
+    ++poll_wakeups_;
+    poll_wait_ns_ += grid.at(look) - grid.origin;
+    tenant_->count_deferrals(grid.posts_before(look));
+  }
+}
+
+void IoEngine::set_tenant(std::shared_ptr<TenantHandle> tenant) {
+  if (tenant_) tenant_->unwatch(&bell_);
+  tenant_ = std::move(tenant);
+  if (tenant_) tenant_->watch(&bell_, kTenantLine);
 }
 
 void IoEngine::fail_op(ExtentOp& op, std::exception_ptr e) {
@@ -183,6 +245,7 @@ void IoEngine::mark_node_down(std::uint16_t nid) {
   if (node_down_.size() <= nid) node_down_.resize(nid + 1, 0);
   if (node_down_[nid] != 0) return;
   node_down_[nid] = 1;
+  work_changed();
   if (probe_wake_) probe_wake_->set();
   if (node_handler_) node_handler_(nid, false);
 }
@@ -232,6 +295,7 @@ dlsim::Task<std::uint32_t> IoEngine::reprobe_down_nodes(dlsim::CpuCore& core) {
     const bool up = co_await targets_[nid]->reprobe();
     if (up && node_down_[nid] != 0) {
       node_down_[nid] = 0;
+      work_changed();
       ++recovered;
       if (node_handler_) node_handler_(nid, true);
     }
@@ -256,14 +320,17 @@ void IoEngine::promote_delayed() {
   if (delayed_.empty()) return;
   dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
   const dlsim::SimTime now = sim_->now();
+  bool moved = false;
   for (auto it = delayed_.begin(); it != delayed_.end();) {
     if (it->not_before <= now) {
       to_post_.push_back(std::move(*it));
       it = delayed_.erase(it);
+      moved = true;
     } else {
       ++it;
     }
   }
+  if (moved) work_changed();
 }
 
 ExtentOpPtr IoEngine::start_extent(ReadExtent x) {
@@ -303,6 +370,7 @@ ExtentOpPtr IoEngine::start_extent(ReadExtent x) {
     op->finished_ = true;
     op->done.set();
   }
+  work_changed();
   return op;
 }
 
@@ -342,6 +410,7 @@ ExtentOpPtr IoEngine::start_write(std::uint16_t nid, std::uint64_t offset,
     op->finished_ = true;
     op->done.set();
   }
+  work_changed();
   return op;
 }
 
@@ -379,159 +448,178 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
   auto satisfied = [&] {
     return until.finished_ || until.pieces_done_ == until.pieces_total_;
   };
-  while (!satisfied()) {
+  // What the last post look stopped on, and the doorbell stamp taken as
+  // it started. A wait that resumes at a poll look spun through the post
+  // look before it (nothing had changed there), so it goes straight to
+  // polling and keeps both.
+  Blocked blocked = Blocked::kNothing;
+  std::uint64_t since = 0;
+  bool at_poll_look = false;
+  while (at_poll_look || !satisfied()) {
     bool progress = false;
-    promote_delayed();  // backed-off retries whose delay has elapsed
+    if (!std::exchange(at_poll_look, false)) {
+      since = bell_.stamp();
+      blocked = Blocked::kNothing;
+      promote_delayed();  // backed-off retries whose delay has elapsed
 
-    // Post while targets have queue space and the pool has chunks. The
-    // sample cache shares the pool: under pressure it yields LRU entries,
-    // then the prefetcher sheds read-ahead; if neither can free a chunk
-    // *and* nothing is in flight the read can never make progress — fail
-    // loudly instead of livelocking.
-    std::size_t rotated = 0;  // pieces parked behind degraded queues this pass
-    while (!to_post_.empty()) {
-      Piece p;
-      spdk::IoQueue* q = nullptr;
-      {
-        // Suspension-free slice: claim (or reject) the head piece before
-        // the prep/post compute charge suspends this pumper.
-        dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
-        if (to_post_.front().op->error_) {
-          // The extent already failed; drop its remaining queued pieces.
-          to_post_.pop_front();
-          progress = true;
-          continue;
-        }
-        std::uint16_t nid = to_post_.front().op->extent.nid;
-        if (!node_available(nid)) {
-          // The current route is down: re-point the extent at the first
-          // live replica before giving up on its pieces.
-          if (advance_route(to_post_.front().op->extent)) {
-            nid = to_post_.front().op->extent.nid;
-          } else {
-            Piece dead = std::move(to_post_.front());
+      // Post while targets have queue space and the pool has chunks. The
+      // sample cache shares the pool: under pressure it yields LRU entries,
+      // then the prefetcher sheds read-ahead; if neither can free a chunk
+      // *and* nothing is in flight the read can never make progress — fail
+      // loudly instead of livelocking.
+      std::size_t rotated = 0;  // pieces parked behind degraded queues
+      while (!to_post_.empty()) {
+        Piece p;
+        spdk::IoQueue* q = nullptr;
+        {
+          // Suspension-free slice: claim (or reject) the head piece before
+          // the prep/post compute charge suspends this pumper.
+          dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
+          if (to_post_.front().op->error_) {
+            // The extent already failed; drop its remaining queued pieces.
             to_post_.pop_front();
-            fail_op(*dead.op, std::make_exception_ptr(IoError(
-                                  nid, dead.offset, IoErrorKind::kNodeDown)));
+            work_changed();
             progress = true;
             continue;
           }
-        }
-        q = targets_[nid].get();
-        if (q->outstanding() >= q->admission_depth()) {
-          // A healthy queue at its natural depth frees slots via the poll
-          // phase below — stop posting. A *degraded* queue (reconnecting
-          // at its admission cap) must not head-block work for healthy
-          // nodes: rotate the piece to the back. One full pass without a
-          // post means everything left is capped — stop then too.
-          if (q->connected() && q->admission_depth() >= q->depth()) break;
-          if (rotated >= to_post_.size()) break;
-          ++rotated;
-          to_post_.push_back(std::move(to_post_.front()));
-          to_post_.pop_front();
-          continue;
-        }
-        if (pool_->free_chunks() == 0 && !to_post_.front().buffer.valid() &&
-            to_post_.front().op->extent.dma_target.empty()) {
-          bool freed = cache_->evict_one();
-          if (!freed && pressure_reliever_) freed = pressure_reliever_();
-          if (!freed) {
-            if (in_flight_.empty() && scq_->empty() && copies_pending_ == 0 &&
-                delayed_.empty()) {
-              throw std::runtime_error(
-                  "huge-page pool exhausted: cache pinned + nothing in "
-                  "flight");
+          std::uint16_t nid = to_post_.front().op->extent.nid;
+          if (!node_available(nid)) {
+            // The current route is down: re-point the extent at the first
+            // live replica before giving up on its pieces.
+            if (advance_route(to_post_.front().op->extent)) {
+              nid = to_post_.front().op->extent.nid;
+            } else {
+              Piece dead = std::move(to_post_.front());
+              to_post_.pop_front();
+              fail_op(*dead.op, std::make_exception_ptr(IoError(
+                                    nid, dead.offset, IoErrorKind::kNodeDown)));
+              work_changed();
+              progress = true;
+              continue;
             }
+          }
+          q = targets_[nid].get();
+          if (q->outstanding() >= q->admission_depth()) {
+            // A healthy queue at its natural depth frees slots via the poll
+            // phase below — stop posting. A *degraded* queue (reconnecting
+            // at its admission cap) must not head-block work for healthy
+            // nodes: rotate the piece to the back. One full pass without a
+            // post means everything left is capped — stop then too.
+            if (q->connected() && q->admission_depth() >= q->depth()) break;
+            if (rotated >= to_post_.size()) break;
+            ++rotated;
+            to_post_.push_back(std::move(to_post_.front()));
+            to_post_.pop_front();
+            continue;
+          }
+          if (pool_->free_chunks() == 0 && !to_post_.front().buffer.valid() &&
+              to_post_.front().op->extent.dma_target.empty()) {
+            bool freed = cache_->evict_one();
+            if (!freed && pressure_reliever_) freed = pressure_reliever_();
+            if (!freed) {
+              if (in_flight_.empty() && scq_->empty() && copies_pending_ == 0 &&
+                  delayed_.empty()) {
+                throw std::runtime_error(
+                    "huge-page pool exhausted: cache pinned + nothing in "
+                    "flight");
+              }
+              blocked = Blocked::kPool;
+              break;
+            }
+          }
+          if (tenant_ && !tenant_->try_admit(to_post_.front().len)) {
+            // Tenant QoS deferred us: another job owns this share of the
+            // devices right now. Completions (ours or theirs, seen via the
+            // governor) advance the fairness floor; the poll phase below
+            // keeps time moving until admission reopens.
+            ++qos_deferrals_;
+            blocked = Blocked::kTenant;
             break;
           }
-        }
-        if (tenant_ && !tenant_->try_admit(to_post_.front().len)) {
-          // Tenant QoS deferred us: another job owns this share of the
-          // devices right now. Completions (ours or theirs, seen via the
-          // governor) advance the fairness floor; the poll phase below
-          // keeps time moving until admission reopens.
-          ++qos_deferrals_;
-          break;
-        }
-        p = std::move(to_post_.front());
-        to_post_.pop_front();
-        // Bind the piece to the extent's *current* route at post time (it
-        // may have been re-routed since the piece was queued). Pieces are
-        // chunk-aligned splits, so piece k starts at offset + k * chunk.
-        // Write extents never re-route, so their queued offsets stand.
-        p.nid = nid;
-        if (!p.op->extent.write) {
-          p.offset = p.op->extent.offset +
-                     static_cast<std::uint64_t>(p.idx) * config_.chunk_bytes;
-        }
-      }
-      // A borrowed DMA target takes the piece at its chunk-aligned offset;
-      // otherwise the piece posts into its own chunk (a retry keeps it).
-      const std::span<std::byte> target = p.op->extent.dma_target;
-      if (target.empty() && !p.buffer.valid()) p.buffer = pool_->allocate();
-      const std::span<std::byte> dma =
-          target.empty()
-              ? p.buffer.span().subspan(0, p.len)
-              : target.subspan(
-                    static_cast<std::size_t>(p.idx) * config_.chunk_bytes,
-                    p.len);
-      ++p.attempts;
-      co_await core.compute(cal_->dlfs.prep_request + cal_->dlfs.sq_post);
-      const std::uint64_t tag = next_tag_++;
-      const auto st = q->submit(
-          p.op->extent.write ? spdk::IoOp::kWrite : spdk::IoOp::kRead,
-          p.offset, dma, tag);
-      if (st == spdk::IoStatus::kQueueFull) {
-        // The command never reached the device; hand the QoS grant back.
-        if (tenant_) tenant_->cancel_admit(p.len);
-        dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
-        if (q->connected()) {
-          // A concurrent pumper filled the queue while we were prepping.
-          to_post_.push_front(std::move(p));
-          break;
-        }
-        // The queue slipped into reconnecting (and hit its admission cap)
-        // mid-prep: park the piece at the back so healthy nodes keep
-        // posting; its route advances when the node is declared down.
-        to_post_.push_back(std::move(p));
-        continue;
-      }
-      if (st == spdk::IoStatus::kConnectionLost) {
-        // The queue's reconnect budget is spent (or the local controller
-        // died): the whole node is gone, not just this piece. Fail over
-        // to a surviving replica in place when the extent has one.
-        if (tenant_) tenant_->cancel_admit(p.len);  // never left the host
-        mark_node_down(p.nid);
-        {
-          dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
-          if (!reroute_piece(p)) {
-            fail_op(*p.op, std::make_exception_ptr(IoError(
-                               p.nid, p.offset, IoErrorKind::kNodeDown)));
+          p = std::move(to_post_.front());
+          to_post_.pop_front();
+          work_changed();
+          // Bind the piece to the extent's *current* route at post time (it
+          // may have been re-routed since the piece was queued). Pieces are
+          // chunk-aligned splits, so piece k starts at offset + k * chunk.
+          // Write extents never re-route, so their queued offsets stand.
+          p.nid = nid;
+          if (!p.op->extent.write) {
+            p.offset = p.op->extent.offset +
+                       static_cast<std::uint64_t>(p.idx) * config_.chunk_bytes;
           }
         }
+        // A borrowed DMA target takes the piece at its chunk-aligned offset;
+        // otherwise the piece posts into its own chunk (a retry keeps it).
+        const std::span<std::byte> target = p.op->extent.dma_target;
+        if (target.empty() && !p.buffer.valid()) p.buffer = pool_->allocate();
+        const std::span<std::byte> dma =
+            target.empty()
+                ? p.buffer.span().subspan(0, p.len)
+                : target.subspan(
+                      static_cast<std::size_t>(p.idx) * config_.chunk_bytes,
+                      p.len);
+        ++p.attempts;
+        co_await core.compute(cal_->dlfs.prep_request + cal_->dlfs.sq_post);
+        const std::uint64_t tag = next_tag_++;
+        const auto st = q->submit(
+            p.op->extent.write ? spdk::IoOp::kWrite : spdk::IoOp::kRead,
+            p.offset, dma, tag);
+        if (st == spdk::IoStatus::kQueueFull) {
+          // The command never reached the device; hand the QoS grant back.
+          if (tenant_) tenant_->cancel_admit(p.len);
+          dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
+          work_changed();
+          if (q->connected()) {
+            // A concurrent pumper filled the queue while we were prepping.
+            to_post_.push_front(std::move(p));
+            break;
+          }
+          // The queue slipped into reconnecting (and hit its admission cap)
+          // mid-prep: park the piece at the back so healthy nodes keep
+          // posting; its route advances when the node is declared down.
+          to_post_.push_back(std::move(p));
+          continue;
+        }
+        if (st == spdk::IoStatus::kConnectionLost) {
+          // The queue's reconnect budget is spent (or the local controller
+          // died): the whole node is gone, not just this piece. Fail over
+          // to a surviving replica in place when the extent has one.
+          if (tenant_) tenant_->cancel_admit(p.len);  // never left the host
+          mark_node_down(p.nid);
+          {
+            dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
+            if (!reroute_piece(p)) {
+              fail_op(*p.op, std::make_exception_ptr(IoError(
+                                 p.nid, p.offset, IoErrorKind::kNodeDown)));
+            }
+          }
+          work_changed();
+          progress = true;
+          continue;
+        }
+        if (st != spdk::IoStatus::kOk) {
+          throw std::runtime_error("unexpected submit failure in pump");
+        }
+        ++posted_;
+        {
+          dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
+          in_flight_.emplace(tag, std::move(p));
+        }
+        work_changed();
         progress = true;
-        continue;
       }
-      if (st != spdk::IoStatus::kOk) {
-        throw std::runtime_error("unexpected submit failure in pump");
-      }
-      ++posted_;
-      {
-        dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
-        in_flight_.emplace(tag, std::move(p));
-      }
-      progress = true;
-    }
 
-    // Poll every queue with work outstanding.
-    std::uint64_t polled = 0;
-    for (const auto& target : targets_) {
-      if (!target || target->outstanding() == 0) continue;
-      ++polled;
-    }
-    if (polled > 0) {
-      co_await core.compute(cal_->dlfs.poll_iteration * polled);
-    }
+      // Poll every queue with work outstanding.
+      std::uint64_t polled = 0;
+      for (const auto& target : targets_) {
+        if (!target || target->outstanding() == 0) continue;
+        ++polled;
+      }
+      if (polled > 0) {
+        co_await core.compute(cal_->dlfs.poll_iteration * polled);
+      }
+    }  // post look
     for (const auto& target : targets_) {
       if (!target) continue;
       const std::vector<spdk::IoCompletion> comps = target->poll();
@@ -553,6 +641,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
           in_flight_.erase(it);
         }
       }
+      work_changed();
       co_await core.compute(cal_->dlfs.completion_handling * ready.size());
       for (auto& [c, p] : ready) {
         progress = true;
@@ -608,9 +697,11 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
         if (p.buffer.valid()) op.buffers_[p.idx] = std::move(p.buffer);
         op.lens_[p.idx] = p.len;
         if (++op.pieces_done_ == op.pieces_total_) {
+          work_changed();
           co_await finish_extent(core, p.op);
         }
       }
+      work_changed();
     }
 
     // Fig. 7b: application compute folded into this batch's polling loop,
@@ -624,7 +715,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
     }
 
     if (!progress && !satisfied()) {
-      co_await wait_any(core);
+      at_poll_look = co_await wait_any(core, since, blocked);
     }
   }
 }

@@ -28,10 +28,15 @@
 //
 // The pump runs *in the awaiting coroutine* (the paper drives DLFS with
 // one I/O thread on one core; that core is charged for all prep, post,
-// poll and completion-handling work it performs). Copy threads are
-// separate daemons with their own cores. Fig. 7(b)'s experiment — how
-// much application compute can be folded into the polling loop — is the
-// `injected_compute` hook, executed once per read batch.
+// poll and completion-handling work it performs). A pumper with nothing
+// to do busy-polls: its core is charged for every spin, but the spin is
+// not simulated step by step — it idles on the engine's doorbell
+// (dlsim::Doorbell) and resumes at the look its spin would have reached
+// first after a state change or a known completion, retry or deadline.
+// Copy threads are separate daemons with their own cores. Fig. 7(b)'s
+// experiment — how much application compute can be folded into the
+// polling loop — is the `injected_compute` hook, executed once per read
+// batch.
 
 #include <cstdint>
 #include <deque>
@@ -49,6 +54,7 @@
 #include "sim/check.hpp"
 #include "mem/hugepage_pool.hpp"
 #include "sim/cpu.hpp"
+#include "sim/doorbell.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "spdk/io_queue.hpp"
@@ -257,12 +263,15 @@ class IoEngine {
   /// completion). All engines of one job share one handle, so the
   /// in-flight cap and the fair-share clock are job-wide. Null = no QoS
   /// (standalone job), zero overhead.
-  void set_tenant(std::shared_ptr<TenantHandle> tenant) {
-    tenant_ = std::move(tenant);
-  }
+  void set_tenant(std::shared_ptr<TenantHandle> tenant);
   [[nodiscard]] const TenantHandle* tenant() const { return tenant_.get(); }
   /// Posting-loop stalls caused by QoS admission (not queue depth).
   [[nodiscard]] std::uint64_t qos_deferrals() const { return qos_deferrals_; }
+  /// Busy-polls on `core` until the tenant admits `bytes` (one ask per
+  /// poll_iteration) — for transfers that bypass the posting loop, such
+  /// as peer-cache reads. Requires a tenant.
+  [[nodiscard]] dlsim::Task<void> admit(dlsim::CpuCore& core,
+                                        std::uint32_t bytes);
 
   // --- node fault domain ---------------------------------------------------
   /// Fired on availability transitions of a storage node: (nid, false)
@@ -295,12 +304,28 @@ class IoEngine {
   /// Copy jobs executed on a different core than the one that produced
   /// them (aggregated over the copy-thread pool).
   [[nodiscard]] std::uint64_t cross_core_handoffs() const;
+  /// Busy ns charged to pumping cores while they idled between looks
+  /// (busy-poll spinning with nothing to harvest), and how many such
+  /// idle waits ended.
+  [[nodiscard]] dlsim::SimDuration poll_wait_ns() const {
+    return poll_wait_ns_;
+  }
+  [[nodiscard]] std::uint64_t poll_wakeups() const { return poll_wakeups_; }
 
  private:
   // Shared completion queue depth (copy jobs handed to the copy threads).
   static constexpr std::uint32_t kScqCapacity = 4096;
-  // Busy-poll quantum used when waiting on event-driven (remote) queues.
+  // Busy-poll grid period: a spinning pumper looks again this long after
+  // a poll that found nothing (plus poll_iteration per polled queue). It
+  // sets where an idle pumper resumes, not a simulated step.
   static constexpr dlsim::SimDuration kPollQuantum = 500;
+  // Doorbell lines: engine work/queue state, and tenant admission.
+  static constexpr dlsim::Doorbell::Lines kWorkLine = 1;
+  static constexpr dlsim::Doorbell::Lines kTenantLine = 2;
+
+  // What stopped a post look with work still queued, where the wait
+  // cares: the pool (unannounced) or tenant admission (its own line).
+  enum class Blocked : std::uint8_t { kNothing, kPool, kTenant };
   // Transient media errors and timeouts are re-posted this many times
   // before the read fails (NVMe drivers retry retryable statuses the
   // same way).
@@ -343,13 +368,22 @@ class IoEngine {
   dlsim::Task<void> copy_thread_loop(std::size_t idx);
   void do_copy(CopyJob& job);
   [[nodiscard]] dlsim::SimDuration copy_cost(const CopyJob& job) const;
-  dlsim::Task<void> wait_any(dlsim::CpuCore& core);
+  /// Idles a pumper whose round found nothing until the first look that
+  /// can see something new; true when that is a poll look. `since` is the
+  /// doorbell stamp from the start of the last post look.
+  dlsim::Task<bool> wait_any(dlsim::CpuCore& core, std::uint64_t since,
+                             Blocked blocked);
+  /// Rings the work line: pumpers read what was just changed.
+  void work_changed() { bell_.ring(kWorkLine); }
 
   dlsim::Simulator* sim_;
   mem::HugePagePool* pool_;
   SampleCache* cache_;
   const Calibration* cal_;
   IoEngineConfig config_;
+  // Rung on every change a pumper reads: engine piece state, queue
+  // completions and connection state, tenant admission.
+  dlsim::Doorbell bell_;
   std::vector<std::unique_ptr<spdk::IoQueue>> targets_;  // index = nid
   std::unique_ptr<dlsim::Channel<CopyJob>> scq_;
   std::vector<std::unique_ptr<dlsim::CpuCore>> copy_cores_;
@@ -384,6 +418,8 @@ class IoEngine {
   std::uint64_t retries_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t bytes_copied_ = 0;
+  dlsim::SimDuration poll_wait_ns_ = 0;
+  std::uint64_t poll_wakeups_ = 0;
   std::uint64_t next_tag_ = 1;
 };
 

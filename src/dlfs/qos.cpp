@@ -17,6 +17,10 @@ void TenantHandle::on_complete(std::uint32_t bytes) {
   gov_->complete(*this, bytes);
 }
 
+void TenantHandle::unwatch(dlsim::Doorbell* bell) {
+  std::erase_if(watchers_, [bell](const auto& w) { return w.first == bell; });
+}
+
 std::shared_ptr<TenantHandle> TenantGovernor::register_tenant(TenantQos cfg) {
   if (cfg.weight == 0) {
     throw std::invalid_argument("TenantQos::weight must be >= 1 (tenant '" +
@@ -37,6 +41,12 @@ std::shared_ptr<TenantHandle> TenantGovernor::register_tenant(TenantQos cfg) {
   h->vtime_ = any ? floor : 0;
   tenants_.push_back(h);
   return h;
+}
+
+void TenantGovernor::ring_watchers() const {
+  for (const auto& t : tenants_) {
+    for (const auto& [bell, lines] : t->watchers_) bell->ring(lines);
+  }
 }
 
 double TenantGovernor::effective_weight(const TenantQos& q) {
@@ -92,6 +102,7 @@ bool TenantGovernor::admit(TenantHandle& t, std::uint32_t bytes) {
   ++t.inflight_;
   ++t.stats_.admitted;
   t.stats_.bytes_admitted += bytes;
+  ring_watchers();
   return true;
 }
 
@@ -103,6 +114,7 @@ void TenantGovernor::cancel(TenantHandle& t, std::uint32_t bytes) {
   t.vtime_ -= static_cast<double>(bytes) / effective_weight(t.cfg_);
   --t.stats_.admitted;
   t.stats_.bytes_admitted -= bytes;
+  ring_watchers();
 }
 
 void TenantGovernor::complete(TenantHandle& t, std::uint32_t bytes) {
@@ -111,6 +123,7 @@ void TenantGovernor::complete(TenantHandle& t, std::uint32_t bytes) {
     throw std::logic_error("TenantGovernor::complete with nothing admitted");
   }
   --t.inflight_;
+  ring_watchers();
 }
 
 }  // namespace dlfs::core

@@ -28,7 +28,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "sim/doorbell.hpp"
 
 namespace dlfs::core {
 
@@ -66,13 +69,24 @@ class TenantHandle {
   [[nodiscard]] std::uint32_t inflight() const { return inflight_; }
 
   /// Ask to put `bytes` on the wire. False = deferred; the engine stops
-  /// posting and retries after the next completion/poll quantum.
+  /// posting and asks again at its next post look after the governor's
+  /// state changes (every watching doorbell rings on each change).
   bool try_admit(std::uint32_t bytes);
+  /// Counts `n` more refusals: the asks a spinning poller would have
+  /// repeated, unanswered, while the governor did not change.
+  void count_deferrals(std::uint64_t n) { stats_.deferred += n; }
   /// Undo an admission whose submit never reached the device
   /// (queue-full race, connection lost mid-prep).
   void cancel_admit(std::uint32_t bytes);
   /// A previously admitted command completed at the transport.
   void on_complete(std::uint32_t bytes);
+  /// Rings `bell` on `lines` whenever an admission, cancellation or
+  /// completion of any tenant of the governor may change what
+  /// try_admit() answers. A watcher must unwatch before it is destroyed.
+  void watch(dlsim::Doorbell* bell, dlsim::Doorbell::Lines lines) {
+    watchers_.emplace_back(bell, lines);
+  }
+  void unwatch(dlsim::Doorbell* bell);
 
  private:
   friend class TenantGovernor;
@@ -81,6 +95,7 @@ class TenantHandle {
   std::uint32_t inflight_ = 0;
   double vtime_ = 0;  ///< virtual clock, advances by bytes/effective_weight
   TenantQosStats stats_;
+  std::vector<std::pair<dlsim::Doorbell*, dlsim::Doorbell::Lines>> watchers_;
 };
 
 /// The shared arbiter. One instance per simulated deployment; every
@@ -114,6 +129,7 @@ class TenantGovernor {
   /// clock when the fleet is otherwise idle (then `t` never self-blocks).
   [[nodiscard]] double floor_vtime(const TenantHandle& t) const;
   [[nodiscard]] bool foreground_busy(const TenantHandle& t) const;
+  void ring_watchers() const;
 
   std::uint64_t burst_bytes_;
   std::vector<std::shared_ptr<TenantHandle>> tenants_;

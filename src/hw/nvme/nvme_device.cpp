@@ -7,7 +7,11 @@
 namespace dlfs::hw {
 
 NvmeQueuePair::NvmeQueuePair(NvmeDevice& dev, std::uint32_t depth)
-    : device_(&dev), depth_(depth) {}
+    : device_(&dev), depth_(depth) {
+  dev.qpairs_.push_back(this);
+}
+
+NvmeQueuePair::~NvmeQueuePair() { std::erase(device_->qpairs_, this); }
 
 IoStatus NvmeQueuePair::submit(IoOp op, std::uint64_t offset,
                                std::span<std::byte> buf,
@@ -144,9 +148,21 @@ void NvmeDevice::inject_faults(double rate, std::uint64_t seed) {
   fault_state_ = rate > 0.0 ? dlfs::mix64(seed | 1) : 0;
 }
 
-void NvmeDevice::crash() { crashed_ = true; }
+void NvmeDevice::crash() {
+  crashed_ = true;
+  ring_qpairs();
+}
 
-void NvmeDevice::recover() { crashed_ = false; }
+void NvmeDevice::recover() {
+  crashed_ = false;
+  ring_qpairs();
+}
+
+void NvmeDevice::ring_qpairs() {
+  for (NvmeQueuePair* qp : qpairs_) {
+    if (qp->bell_ != nullptr) qp->bell_->ring(qp->bell_lines_);
+  }
+}
 
 void NvmeDevice::crash_at(SimTime when) {
   sim_->spawn_daemon(

@@ -34,6 +34,7 @@
 
 #include "common/calibration.hpp"
 #include "hw/nvme/backing_store.hpp"
+#include "sim/doorbell.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "sim/time.hpp"
@@ -72,6 +73,7 @@ class NvmeQueuePair {
  public:
   NvmeQueuePair(const NvmeQueuePair&) = delete;
   NvmeQueuePair& operator=(const NvmeQueuePair&) = delete;
+  ~NvmeQueuePair();
 
   /// Posts a command. Returns kQueueFull when `outstanding() == depth()`,
   /// kOutOfRange for bad offsets. The data transfer happens functionally
@@ -101,6 +103,13 @@ class NvmeQueuePair {
   [[nodiscard]] SimTime next_completion_at() const;
   [[nodiscard]] NvmeDevice& device() { return *device_; }
 
+  /// Rung when the controller crashes or recovers: the one change to
+  /// poll()/submit() that next_completion_at() cannot announce.
+  void set_doorbell(dlsim::Doorbell* bell, dlsim::Doorbell::Lines lines) {
+    bell_ = bell;
+    bell_lines_ = lines;
+  }
+
  private:
   friend class NvmeDevice;
   NvmeQueuePair(NvmeDevice& dev, std::uint32_t depth);
@@ -113,6 +122,8 @@ class NvmeQueuePair {
   NvmeDevice* device_;
   std::uint32_t depth_;
   std::deque<Pending> pending_;  // ordered by done_at (service order)
+  dlsim::Doorbell* bell_ = nullptr;
+  dlsim::Doorbell::Lines bell_lines_ = 0;
 };
 
 /// Who currently drives the device.
@@ -194,6 +205,9 @@ class NvmeDevice {
   std::uint64_t faults_injected_ = 0;
   bool crashed_ = false;
 
+  void ring_qpairs();
+
+  std::vector<NvmeQueuePair*> qpairs_;  // live queue pairs on this device
   SimTime pipe_free_at_ = 0;
   // For utilization accounting:
   SimTime stats_since_ = 0;

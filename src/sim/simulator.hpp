@@ -11,9 +11,11 @@
 //
 // The host process is single-threaded; all concurrency is simulated.
 
+#include <compare>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -85,6 +87,62 @@ struct ProcessState {
 };
 }  // namespace detail
 
+/// Where an event sits in the run order: by time, then by when it was
+/// scheduled, then FIFO among events scheduled at the same instant. An
+/// ordinary schedule_at() stamps `sched` with the current time and takes
+/// the next FIFO number, so the order is plain FIFO per timestamp.
+struct EventKey {
+  SimTime at = 0;
+  SimTime sched = 0;
+  std::uint64_t seq = 0;
+  friend auto operator<=>(const EventKey&, const EventKey&) = default;
+};
+
+/// The instants at which a busy-poll loop that has just found nothing at
+/// `origin` would look again if it kept spinning. The loop alternates two
+/// looks: a *post* look (take new work) and, `poll` ns later, a *poll*
+/// look (harvest completions); `quantum` ns after a poll look comes the
+/// next post look. Look 0 is the first post look, `first` ns after
+/// `origin`. With `poll` = 0 both happen at one instant and every look is
+/// a post look. `first` and `quantum` must be positive.
+struct SpinGrid {
+  SimTime origin = 0;
+  SimDuration first = 0;
+  SimDuration poll = 0;
+  SimDuration quantum = 0;
+
+  [[nodiscard]] SimTime at(std::uint64_t look) const;
+  [[nodiscard]] bool is_poll(std::uint64_t look) const {
+    return poll > 0 && look % 2 == 1;
+  }
+  /// How many post looks come before `look`.
+  [[nodiscard]] std::uint64_t posts_before(std::uint64_t look) const {
+    return poll > 0 ? (look + 1) / 2 : look;
+  }
+  /// First look (either kind) at or after `t`.
+  [[nodiscard]] std::uint64_t first_at_or_after(SimTime t) const;
+  /// First post look at or after `t` (where a retry due at `t` posts).
+  [[nodiscard]] std::uint64_t first_post_at_or_after(SimTime t) const;
+  /// The post look that leads into the first poll look at or after `t`
+  /// (a completion known to land at `t` is harvested by that round).
+  [[nodiscard]] std::uint64_t round_polling_at_or_after(SimTime t) const;
+};
+
+/// A busy-poller that idles instead of simulating its spin (see
+/// sim/doorbell.hpp). The Simulator tracks where its next look would sit
+/// in the run order — each look takes its FIFO number as the run passes
+/// it, exactly as the spin's step would have — without resuming anything,
+/// and resumes the poller at that look when woken.
+struct IdlePoller {
+  SpinGrid grid;
+  std::optional<std::uint64_t> timer;  // look to resume at if not woken
+  std::uint64_t look = 0;              // next look not yet passed
+  EventKey key{};                      // its place in the run order
+  std::coroutine_handle<> h{};
+  detail::ProcessState* owner = nullptr;
+  bool queued = false;  // its resumption is scheduled
+};
+
 /// Handle to a spawned top-level coroutine. Copyable; all copies refer to
 /// the same underlying process.
 class Process {
@@ -137,6 +195,15 @@ class Simulator {
   void schedule_now(std::coroutine_handle<> h, detail::ProcessState* owner) {
     schedule_at(now_, h, owner);
   }
+
+  /// Starts tracking an idle poller: its look 0 takes the FIFO number a
+  /// wakeup scheduled right now would get. It resumes at look 0 at once
+  /// when `wake_now`, else at its timer look or when wake_poller() is
+  /// called, whichever comes first.
+  void park_poller(IdlePoller& p, bool wake_now);
+  /// Resumes a parked poller at its next look (the first one after the
+  /// running event).
+  void wake_poller(IdlePoller& p);
 
   /// The process whose coroutine slice is executing right now (nullptr
   /// between events and outside run()). Within one step() control never
@@ -237,19 +304,26 @@ class Simulator {
                              bool daemon);
 
   struct Item {
-    SimTime t;
-    std::uint64_t seq;
+    EventKey key;
     std::coroutine_handle<> h;
     detail::ProcessState* owner;
   };
   struct Later {
     bool operator()(const Item& a, const Item& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
+      return a.key > b.key;
     }
   };
 
+  /// Passes idle pollers' looks that run before the next queued event
+  /// (and before `bound`, if given), in run order; a look that is a
+  /// poller's timer becomes a queued event.
+  void pass_looks(const EventKey* bound = nullptr);
+  void schedule_poller(IdlePoller& p);
+  void drop_poller(std::size_t i);
+
   std::priority_queue<Item, std::vector<Item>, Later> queue_;
+  std::vector<IdlePoller*> pollers_;  // parked idle pollers
+  std::size_t timed_pollers_ = 0;     // ... that have a timer look
   std::vector<std::shared_ptr<detail::ProcessState>> processes_;
   LockOrderGraph lock_graph_;
   detail::ProcessState* current_ = nullptr;

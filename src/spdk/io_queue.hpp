@@ -14,6 +14,12 @@
 // simulation-friendly way to express "poll until something completes"
 // without an event per poll iteration (the caller charges the elapsed
 // time to its core as busy-polling, preserving SPDK's CPU semantics).
+//
+// A poller that idles between looks (dlsim::Doorbell) must learn of every
+// change to what poll(), submit() or the admission state would report:
+// a queue announces the times it knows in advance (next_completion_at,
+// next_timeout_at) and rings the doorbell registered with set_doorbell()
+// for the rest.
 
 #include <cstdint>
 #include <optional>
@@ -21,6 +27,7 @@
 #include <vector>
 
 #include "hw/nvme/nvme_device.hpp"
+#include "sim/doorbell.hpp"
 #include "sim/task.hpp"
 
 namespace dlfs::spdk {
@@ -71,12 +78,27 @@ class IoQueue {
 
   /// If the time of the earliest outstanding completion is knowable
   /// (local device queues), returns it; nullopt for event-driven queues
-  /// (NVMe-oF initiators) — callers then busy-poll at a fixed quantum,
-  /// matching SPDK's polling semantics.
+  /// (NVMe-oF initiators), whose completions ring the doorbell instead
+  /// when they become visible to poll().
   [[nodiscard]] virtual std::optional<dlsim::SimTime> next_completion_at()
       const {
     return std::nullopt;
   }
+
+  /// Earliest command deadline: poll() completes the command with
+  /// kTimeout once this time has come. nullopt when no command can time
+  /// out (local queues, nothing in flight).
+  [[nodiscard]] virtual std::optional<dlsim::SimTime> next_timeout_at()
+      const {
+    return std::nullopt;
+  }
+
+  /// Registers the doorbell (and its lines) this queue rings whenever
+  /// poll(), submit() or the admission state change at a time the queue
+  /// did not announce: a completion arriving, the connection state
+  /// flipping, deadlines being re-armed, the controller dying.
+  virtual void set_doorbell(dlsim::Doorbell* bell,
+                            dlsim::Doorbell::Lines lines) = 0;
 
   /// Whether the path to the device is currently believed usable. Local
   /// queues are always connected; the NVMe-oF initiator reports false

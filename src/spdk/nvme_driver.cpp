@@ -39,6 +39,11 @@ class LocalIoQueue final : public IoQueue {
 
   bool connected() const override { return !qp_->device().crashed(); }
 
+  void set_doorbell(dlsim::Doorbell* bell,
+                    dlsim::Doorbell::Lines lines) override {
+    qp_->set_doorbell(bell, lines);
+  }
+
   dlsim::Task<bool> reprobe() override {
     // Local path: nothing to re-handshake — the queue is usable iff the
     // controller is back.

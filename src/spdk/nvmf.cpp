@@ -83,6 +83,7 @@ class RemoteIoQueue final : public IoQueue {
   void attach(NvmfTarget::Connection& conn) {
     conn_ = &conn;
     state_ = ConnState::kConnected;
+    ring();
   }
 
   IoStatus submit(IoOp op, std::uint64_t offset, std::span<std::byte> buf,
@@ -143,6 +144,18 @@ class RemoteIoQueue final : public IoQueue {
   bool connected() const override { return state_ == ConnState::kConnected; }
   IoQueueStats transport_stats() const override { return stats_; }
 
+  std::optional<dlsim::SimTime> next_timeout_at() const override {
+    const dlsim::SimTime at = next_deadline();
+    if (at == 0) return std::nullopt;
+    return at;
+  }
+
+  void set_doorbell(dlsim::Doorbell* bell,
+                    dlsim::Doorbell::Lines lines) override {
+    bell_ = bell;
+    bell_lines_ = lines;
+  }
+
   dlsim::Task<bool> reprobe() override {
     if (state_ == ConnState::kConnected) co_return true;
     if (state_ == ConnState::kReconnecting) co_return false;
@@ -180,6 +193,13 @@ class RemoteIoQueue final : public IoQueue {
     --outstanding_;
     ready_.push_back(c);
     ready_waiters_.wake_all();
+    ring();
+  }
+
+  /// Tells an idle poller that poll(), submit() or the admission state
+  /// changed (completions arrive unannounced on a fabric queue).
+  void ring() const {
+    if (bell_ != nullptr) bell_->ring(bell_lines_);
   }
 
   /// Completes every overdue in-flight command with kTimeout. The first
@@ -211,6 +231,7 @@ class RemoteIoQueue final : public IoQueue {
 
   void begin_reconnect() {
     state_ = ConnState::kReconnecting;
+    ring();
     ++stats_.connections_lost;
     if (conn_ != nullptr) {
       target_->detach_connection(conn_);
@@ -281,11 +302,13 @@ class RemoteIoQueue final : public IoQueue {
       ++stats_.replays;
       sim_->spawn(send_command(alive_, inf.cmd), "nvmf-replay");
     }
+    ring();  // deadlines moved
   }
 
   void declare_dead() {
     dlsim::AccessSlice slice{inflight_ledger_, /*write=*/true};
     state_ = ConnState::kDead;
+    ring();
     for (const std::uint64_t tag : pending_tags()) {
       const IoCompletion c{tag, inflight_.at(tag).cmd.op,
                            IoStatus::kConnectionLost, 0};
@@ -385,6 +408,8 @@ class RemoteIoQueue final : public IoQueue {
   IoQueueStats stats_;
   std::deque<IoCompletion> ready_;
   dlsim::detail::WaitList ready_waiters_;
+  dlsim::Doorbell* bell_ = nullptr;
+  dlsim::Doorbell::Lines bell_lines_ = 0;
 };
 
 NvmfTarget::NvmfTarget(dlsim::Simulator& sim, hw::Fabric& fabric,

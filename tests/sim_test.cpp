@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/cpu.hpp"
+#include "sim/doorbell.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -21,6 +22,7 @@ namespace {
 
 using dlsim::Channel;
 using dlsim::CpuCore;
+using dlsim::Doorbell;
 using dlsim::Event;
 using dlsim::Mutex;
 using dlsim::Process;
@@ -587,6 +589,145 @@ TEST(SimCpu, ResetAccounting) {
   core.reset_accounting();
   EXPECT_EQ(core.busy_ns(), 0u);
   EXPECT_EQ(core.elapsed_ns(), 0u);
+}
+
+TEST(SimSpinGrid, LooksAlternatePostAndPoll) {
+  const dlsim::SpinGrid g{1000, 500, 200, 500};
+  EXPECT_EQ(g.at(0), 1500u);  // post
+  EXPECT_EQ(g.at(1), 1700u);  // poll
+  EXPECT_EQ(g.at(2), 2200u);  // post
+  EXPECT_TRUE(g.is_poll(3));
+  EXPECT_EQ(g.first_at_or_after(0), 0u);
+  EXPECT_EQ(g.first_at_or_after(1600), 1u);
+  EXPECT_EQ(g.first_at_or_after(1700), 1u);
+  EXPECT_EQ(g.first_at_or_after(1701), 2u);
+  EXPECT_EQ(g.first_post_at_or_after(1600), 2u);
+  EXPECT_EQ(g.round_polling_at_or_after(1701), 2u);
+  EXPECT_EQ(g.posts_before(3), 2u);
+  const dlsim::SpinGrid flat{0, 100, 0, 100};
+  EXPECT_EQ(flat.first_at_or_after(250), 2u);
+  EXPECT_EQ(flat.posts_before(2), 2u);
+}
+
+struct SpinOutcome {
+  SimTime seen_at = 0;
+  dlsim::SimDuration busy = 0;
+  std::vector<int> order;
+  bool operator==(const SpinOutcome&) const = default;
+};
+
+/// A poller waits for a flag that a setter raises at `set_at` (reached
+/// through a first hop of `hop` ns); a bystander also acts at `set_at`
+/// (first hop `by_hop`). The poller either spins in `quantum` steps or
+/// idles on a doorbell the setter rings.
+SpinOutcome run_flag_poll(bool idle, bool poller_first, SimTime set_at,
+                          dlsim::SimDuration hop, dlsim::SimDuration by_hop) {
+  constexpr dlsim::SimDuration kQuantum = 250;
+  Simulator sim;
+  CpuCore core(sim, "poller");
+  Doorbell bell(sim);
+  bool flag = false;
+  SpinOutcome out;
+  auto poller = [](Simulator& s, CpuCore& c, Doorbell& b, bool& f,
+                   bool use_bell, SpinOutcome& o) -> Task<void> {
+    for (;;) {
+      const std::uint64_t since = b.stamp();
+      if (f) break;
+      if (use_bell) {
+        const dlsim::SpinGrid grid{s.now(), kQuantum, 0, kQuantum};
+        (void)co_await b.idle(c, grid, 1, since, std::nullopt);
+      } else {
+        co_await c.compute(kQuantum);
+      }
+    }
+    o.seen_at = s.now();
+    o.order.push_back(1);
+  };
+  auto setter = [](Simulator& s, Doorbell& b, bool& f, SimTime at,
+                   dlsim::SimDuration first, SpinOutcome& o) -> Task<void> {
+    co_await s.delay(first);
+    co_await s.delay(at - first);
+    f = true;
+    b.ring(1);
+    o.order.push_back(2);
+  };
+  auto bystander = [](Simulator& s, SimTime at, dlsim::SimDuration first,
+                      SpinOutcome& o) -> Task<void> {
+    co_await s.delay(first);
+    co_await s.delay(at - first);
+    o.order.push_back(3);
+  };
+  if (poller_first) sim.spawn(poller(sim, core, bell, flag, idle, out));
+  sim.spawn(setter(sim, bell, flag, set_at, hop, out));
+  sim.spawn(bystander(sim, set_at, by_hop, out));
+  if (!poller_first) sim.spawn(poller(sim, core, bell, flag, idle, out));
+  sim.run();
+  out.busy = core.busy_ns();
+  return out;
+}
+
+TEST(SimDoorbell, IdlePollerMatchesTheSpinOnEveryTie) {
+  // The flag lands on a look instant (1000, 1250) or between looks, set
+  // through hops that schedule it before, at, or after the poller's
+  // previous look; the idle poller must see it at the same look, resume
+  // in the same place among same-instant events, and be charged the same
+  // busy time as the spinning one.
+  for (const bool poller_first : {true, false}) {
+    for (const SimTime set_at : {1000u, 1100u, 1250u}) {
+      for (const dlsim::SimDuration hop : {0u, 100u, 500u, 750u, 1000u}) {
+        for (const dlsim::SimDuration by_hop : {0u, 750u, 1000u}) {
+          if (hop > set_at || by_hop > set_at) continue;
+          SCOPED_TRACE(testing::Message()
+                       << "poller_first=" << poller_first << " set_at="
+                       << set_at << " hop=" << hop << " by_hop=" << by_hop);
+          const SpinOutcome spin =
+              run_flag_poll(false, poller_first, set_at, hop, by_hop);
+          const SpinOutcome idle =
+              run_flag_poll(true, poller_first, set_at, hop, by_hop);
+          EXPECT_EQ(idle.seen_at, spin.seen_at);
+          EXPECT_EQ(idle.busy, spin.busy);
+          EXPECT_EQ(idle.order, spin.order);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimDoorbell, TimerResumesWithoutARing) {
+  Simulator sim;
+  CpuCore core(sim, "poller");
+  Doorbell bell(sim);
+  std::uint64_t look = 0;
+  sim.spawn([](Simulator& s, CpuCore& c, Doorbell& b,
+               std::uint64_t& out) -> Task<void> {
+    const dlsim::SpinGrid g{s.now(), 500, 100, 500};
+    out = co_await b.idle(c, g, 1, b.stamp(), g.first_post_at_or_after(10_us));
+  }(sim, core, bell, look));
+  sim.run();
+  EXPECT_EQ(look, 32u);  // post looks every 600 ns from 500 ns
+  EXPECT_EQ(sim.now(), 10'100u);
+  EXPECT_EQ(core.busy_ns(), 10'100u);
+  EXPECT_EQ(sim.events_processed(), 2u);  // start + one wakeup
+}
+
+TEST(SimDoorbell, RunUntilPassesLooksOfAnIdlePoller) {
+  // A poller parked with no timer, a ring from outside the run after
+  // run_until(): it resumes at its first look after that time.
+  Simulator sim;
+  CpuCore core(sim, "poller");
+  Doorbell bell(sim);
+  std::uint64_t look = 0;
+  sim.spawn([](Simulator& s, CpuCore& c, Doorbell& b,
+               std::uint64_t& out) -> Task<void> {
+    out = co_await b.idle(c, dlsim::SpinGrid{s.now(), 300, 0, 300}, 1,
+                          b.stamp(), std::nullopt);
+  }(sim, core, bell, look));
+  sim.run_until(1'000);
+  bell.ring(1);
+  sim.run();
+  EXPECT_EQ(look, 3u);  // looks at 300, 600, 900 passed; 1200 is next
+  EXPECT_EQ(sim.now(), 1'200u);
+  EXPECT_EQ(core.busy_ns(), 1'200u);
 }
 
 TEST(SimRng, SameSeedSameStreamDifferentSeedDifferentStream) {
