@@ -1351,6 +1351,15 @@ dlsim::Task<void> DlfsInstance::consume(std::size_t max_samples,
   // Without a copy pool the I/O core copies spans itself, serially after
   // the loop (it cannot poll and memcpy at once).
   std::vector<CopyJob> after_loop;
+  // Span copies go out per run: a sample joins the pick's open job while
+  // that job's memcpy time is still below a job's fixed cost (completion
+  // handling, plus the cross-core handoff on a copy thread), so small
+  // samples share one descriptor and large ones keep one job each for
+  // the copy pool's parallelism.
+  const DlfsCosts& costs = cfg.calibration.dlfs;
+  const dlsim::SimDuration job_fixed_cost =
+      costs.completion_handling +
+      (cfg.copy_threads > 0 ? costs.cross_core_handoff : 0);
   for (const auto& pk : picks) {
     const std::size_t uslot = epoch_provider_->unit_of(pk.unit_slot);
     std::vector<CopyJob> span_copies;  // this pick's copies out of spans
@@ -1378,9 +1387,19 @@ dlsim::Task<void> DlfsInstance::consume(std::size_t max_samples,
           landed.count_down();
           continue;
         }
+        // Delivered samples pack back to back, so the open job's bytes
+        // stay contiguous in the arena even across a skipped sample.
+        std::byte* dst = place(us);
+        if (!span_copies.empty() &&
+            engine_->copy_cost(span_copies.back()) < job_fixed_cost) {
+          CopyJob& open = span_copies.back();
+          open.views.insert(open.views.end(), spans.begin(), spans.end());
+          ++open.samples;
+          continue;
+        }
         CopyJob job;
         job.views = std::move(spans);
-        job.dst = place(us);
+        job.dst = dst;
         job.latch = &landed;
         job.origin = io_core_;
         span_copies.push_back(std::move(job));

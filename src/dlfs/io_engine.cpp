@@ -98,7 +98,7 @@ void IoEngine::do_copy(CopyJob& job) {
     cache_->insert(*job.cache_sample_id, std::move(job.owned_pieces),
                    std::move(job.piece_lens));
   }
-  if (job.latch != nullptr) job.latch->count_down();
+  if (job.latch != nullptr) job.latch->count_down(job.samples);
   if (job.op) {
     assert(copies_pending_ > 0);
     --copies_pending_;

@@ -10,7 +10,10 @@
 //   poll  — busy-poll completion queues; every harvested completion is
 //           pushed to the shared completion queue (SCQ)
 //   copy  — a pool of copy threads drains the SCQ and memcpys sample data
-//           from the huge-page cache chunks to the application buffer
+//           from the huge-page cache chunks to the application buffer;
+//           one job per sample-level piece set, or per run of samples
+//           out of a resident data chunk (each job pays one completion
+//           handling, plus one cross-core handoff on a copy thread)
 //
 // Reads are modeled as *extent operations* (ExtentOp): start_extent()
 // splits an extent into chunk-sized pieces and queues them; await_op()
@@ -177,11 +180,15 @@ struct CopyJob {
   // Either owned pieces (sample-level reads) ...
   std::vector<mem::DmaBuffer> owned_pieces;
   std::vector<std::uint32_t> piece_lens;
-  // ... or borrowed views (copies out of a resident data chunk).
+  // ... or borrowed views (copies out of a resident data chunk). The
+  // views may span several samples packed back to back at `dst` — a run
+  // of small samples shares one job, and so one completion and handoff.
   std::vector<std::span<const std::byte>> views;
   std::byte* dst = nullptr;
   std::optional<std::size_t> cache_sample_id{};
+  // Counted down once per sample the job lands, after the memcpy.
   dlsim::CountdownLatch* latch = nullptr;
+  std::uint32_t samples = 1;
   // Core that produced the job. A copy thread running on a different
   // core pays the cross-core handoff cost (cache-line transfer of the
   // job + first-touch misses on the data) and counts the event, so
@@ -248,6 +255,9 @@ class IoEngine {
   /// the API layer can account hits identically.
   [[nodiscard]] dlsim::Task<void> run_copy_inline(dlsim::CpuCore& core,
                                                   CopyJob job);
+  /// Memcpy time of `job`'s bytes at the copy bandwidth (excluding the
+  /// per-job completion handling and handoff).
+  [[nodiscard]] dlsim::SimDuration copy_cost(const CopyJob& job) const;
 
   /// Called when the pool is exhausted, the sample cache has nothing
   /// evictable, and a read still needs chunks. Returns true if the
@@ -367,7 +377,6 @@ class IoEngine {
   static void fail_op(ExtentOp& op, std::exception_ptr e);
   dlsim::Task<void> copy_thread_loop(std::size_t idx);
   void do_copy(CopyJob& job);
-  [[nodiscard]] dlsim::SimDuration copy_cost(const CopyJob& job) const;
   /// Idles a pumper whose round found nothing until the first look that
   /// can see something new; true when that is a poll look. `since` is the
   /// doorbell stamp from the start of the last post look.

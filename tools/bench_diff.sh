@@ -8,8 +8,10 @@
 # BENCH_*.json files they write never collide, and prints a unified diff
 # of stdout per bench. micro_* benches are skipped: they print host time,
 # which differs from run to run. The simulator is deterministic, so any
-# difference is a behaviour change. Exits 1 when any bench differs (or
-# exists on one side only), 0 when every stdout is byte-identical.
+# difference is a behaviour change. The last line summarises the run:
+# how many benches were identical and the names of those that differ.
+# Exits 1 when any bench differs (or exists on one side only), 0 when
+# every stdout is byte-identical.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -32,6 +34,8 @@ run_bench() {
 
 names=$( { ls "$base/bench"; ls "$head/bench"; } | sort -u)
 status=0
+same=0
+differ=""
 for name in $names; do
   case $name in micro_*) continue ;; esac
   b="$base/bench/$name" h="$head/bench/$name"
@@ -39,6 +43,7 @@ for name in $names; do
   if [[ ! -f $b || ! -x $b || ! -f $h || ! -x $h ]]; then
     echo "=== $name: present in one build tree only"
     status=1
+    differ+=" $name"
     continue
   fi
   run_bench "$base" "$name" "$work/$name.base" &
@@ -47,8 +52,11 @@ for name in $names; do
   if diff -u --label "base/$name" --label "head/$name" \
       "$work/$name.base" "$work/$name.head"; then
     echo "=== $name: identical"
+    same=$((same + 1))
   else
     status=1
+    differ+=" $name"
   fi
 done
+echo "=== summary: $same identical; differ:${differ:- none}"
 exit $status
