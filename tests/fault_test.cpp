@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <memory>
@@ -383,15 +384,22 @@ struct DeliveryLog {
   std::vector<std::uint32_t> offsets;
   std::uint64_t skipped = 0;
   bool content_ok = true;
+  // Longest single bread in virtual time (recorded when a simulator is
+  // passed to run_epoch_logged).
+  dlsim::SimDuration longest_bread = 0;
 };
 
 Task<void> run_epoch_logged(const dlfs::dataset::Dataset& ds,
-                            dlfs::core::DlfsInstance& inst,
-                            DeliveryLog& log) {
+                            dlfs::core::DlfsInstance& inst, DeliveryLog& log,
+                            const Simulator* sim = nullptr) {
   std::vector<std::byte> arena(64_KiB);
   std::vector<std::byte> want;
   for (;;) {
+    const dlsim::SimTime t0 = sim != nullptr ? sim->now() : 0;
     auto b = co_await inst.bread(16, arena);
+    if (sim != nullptr) {
+      log.longest_bread = std::max(log.longest_bread, sim->now() - t0);
+    }
     if (b.end_of_epoch) break;
     EXPECT_LE(b.samples.size() + b.samples_skipped, 16u);
     for (const auto& s : b.samples) {
@@ -442,6 +450,52 @@ TEST(FaultInjection, ReplicatedChunkEpochSurvivesCrashByteIdentical) {
   // The failure was real: the node went down and reads failed over.
   EXPECT_EQ(inst.engine().nodes_down(), 1u);
   EXPECT_GT(inst.engine().transport_stats().timeouts, 0u);
+}
+
+// Hedged failover: while a live replica holds the bytes, a read never
+// waits for the failure detector (command timeout, then the reconnect
+// budget) to give up on a crashed target. Delivery stays exactly the
+// healthy run's.
+void expect_crash_costs_no_detection_wait(dlfs::core::BatchingMode mode) {
+  DeliveryLog good;
+  {
+    ReplicaRig healthy(ReplicaRig::cfg(2, mode));
+    auto& inst = healthy.fleet.instance(0);
+    inst.sequence(1);
+    healthy.sim.spawn(run_epoch_logged(healthy.ds, inst, good, &healthy.sim),
+                      "healthy-epoch");
+    healthy.sim.run();
+    healthy.sim.rethrow_failures();
+    ASSERT_EQ(good.order.size(), ReplicaRig::kSamples);
+    ASSERT_TRUE(good.content_ok);
+  }
+  ReplicaRig rig(ReplicaRig::cfg(2, mode));
+  auto& inst = rig.fleet.instance(0);
+  rig.fleet.target(0)->crash_at(rig.sim.now() + 500_us);
+  inst.sequence(1);
+  DeliveryLog log;
+  rig.sim.spawn(run_epoch_logged(rig.ds, inst, log, &rig.sim),
+                "crashed-epoch");
+  rig.sim.run_watchdog(rig.sim.now() + 2_sec);
+  rig.sim.rethrow_failures();
+  EXPECT_LT(log.longest_bread, RemoteFleetRig::cfg().fault.nvmf.command_timeout)
+      << "a bread waited out failure detection";
+  EXPECT_EQ(log.skipped, 0u);
+  EXPECT_EQ(inst.stats().samples_skipped, 0u);
+  EXPECT_TRUE(log.content_ok);
+  EXPECT_EQ(log.order, good.order);
+  EXPECT_EQ(log.offsets, good.offsets);
+  // The crash still ran its course: detected, and the node marked down.
+  EXPECT_EQ(inst.engine().nodes_down(), 1u);
+  EXPECT_GT(inst.engine().transport_stats().timeouts, 0u);
+}
+
+TEST(FaultInjection, ChunkLevelCrashReadNeverWaitsOutDetection) {
+  expect_crash_costs_no_detection_wait(dlfs::core::BatchingMode::kChunkLevel);
+}
+
+TEST(FaultInjection, SampleLevelCrashReadNeverWaitsOutDetection) {
+  expect_crash_costs_no_detection_wait(dlfs::core::BatchingMode::kSampleLevel);
 }
 
 TEST(FaultInjection, ReplicatedSampleLevelCrashServesFullEpoch) {
