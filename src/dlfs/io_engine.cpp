@@ -500,12 +500,11 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
           }
           q = targets_[nid].get();
           if (q->outstanding() >= q->admission_depth()) {
-            // A healthy queue at its natural depth frees slots via the poll
-            // phase below — stop posting. A *degraded* queue (reconnecting
-            // at its admission cap) must not head-block work for healthy
-            // nodes: rotate the piece to the back. One full pass without a
-            // post means everything left is capped — stop then too.
-            if (q->connected() && q->admission_depth() >= q->depth()) break;
+            // A full queue — healthy at its depth, or degraded at its
+            // reconnect admission cap — must not head-block work for other
+            // nodes: the piece steps aside to the back (pieces keep their
+            // cyclic order) and posting goes on. One full pass without a
+            // post means everything left is capped — stop then.
             if (rotated >= to_post_.size()) break;
             ++rotated;
             to_post_.push_back(std::move(to_post_.front()));
