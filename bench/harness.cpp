@@ -126,6 +126,8 @@ RunResult run_dlfs(const Workload& w, core::DlfsConfig cfg,
     r.cross_core_handoffs += st.cross_core_handoffs;
     r.poll_wait_ns += st.poll_wait_ns;
     r.poll_wakeups += st.poll_wakeups;
+    r.hedges_issued += st.hedges_issued;
+    r.hedges_won += st.hedges_won;
     const core::PrefetchStats& ps = st.prefetch;
     r.prefetch.units_issued += ps.units_issued;
     r.prefetch.units_resident_at_pick += ps.units_resident_at_pick;
@@ -456,6 +458,8 @@ std::string JsonReport::write() const {
         << ", \"cross_core_handoffs\": " << r.cross_core_handoffs
         << ", \"poll_wait_ns\": " << r.poll_wait_ns
         << ", \"poll_wakeups\": " << r.poll_wakeups
+        << ", \"hedges_issued\": " << r.hedges_issued
+        << ", \"hedges_won\": " << r.hedges_won
         << ", \"prefetch_units_issued\": " << p.units_issued
         << ", \"prefetch_units_resident_at_pick\": "
         << p.units_resident_at_pick

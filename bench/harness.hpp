@@ -82,6 +82,10 @@ struct RunResult {
   // nothing to harvest, and the waits that ended.
   std::uint64_t poll_wait_ns = 0;
   std::uint64_t poll_wakeups = 0;
+  // Hedged failover, summed over clients: replica re-posts of pieces
+  // stuck on a suspect node, and those that delivered first.
+  std::uint64_t hedges_issued = 0;
+  std::uint64_t hedges_won = 0;
   core::PrefetchStats prefetch{};
   // Fault-domain counters, summed over clients: device-level retries, the
   // transport's timeout/reconnect tallies, samples the degraded epoch

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 
 namespace dlfs {
@@ -63,6 +64,16 @@ double Histogram::cdf(double x) const {
     }
   }
   return static_cast<double>(below) / static_cast<double>(total_);
+}
+
+double Histogram::quantile_bound(double q) const {
+  const double want = q * static_cast<double>(total_);
+  std::uint64_t below = 0;
+  for (std::size_t i = 0; total_ > 0 && i < boundaries_.size(); ++i) {
+    below += counts_[i];
+    if (static_cast<double>(below) >= want) return boundaries_[i];
+  }
+  return std::numeric_limits<double>::infinity();
 }
 
 std::string Histogram::render_cdf(const std::string& unit) const {

@@ -87,6 +87,10 @@ class Histogram {
   /// Fraction of mass at or below `x` (interpolates within a bucket).
   [[nodiscard]] double cdf(double x) const;
 
+  /// Upper boundary of the bucket holding the `q`-quantile (0 < q <= 1);
+  /// +infinity when it falls past the last boundary or nothing was added.
+  [[nodiscard]] double quantile_bound(double q) const;
+
   /// Renders an ASCII CDF table (used by the Fig. 1 bench).
   [[nodiscard]] std::string render_cdf(const std::string& unit) const;
 

@@ -1,6 +1,7 @@
 #include "dlfs/batching.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 
@@ -149,20 +150,28 @@ EpochUnitProvider::EpochUnitProvider(const EpochSequence& seq,
                                      std::uint32_t group,
                                      const SampleCache* cache,
                                      RouteResolver routes, PeerProbe peers,
-                                     NodeProbe live)
+                                     NodeProbe live, NodeProbe suspect)
     : seq_(&seq),
       group_(std::max<std::uint32_t>(group, 1)),
       cache_(cache),
       routes_(std::move(routes)),
       peers_(std::move(peers)),
-      live_(std::move(live)) {}
+      live_(std::move(live)),
+      suspect_(routes_ ? std::move(suspect) : NodeProbe{}) {}
 
 std::size_t EpochUnitProvider::num_units() const {
   return (seq_->num_units() + group_ - 1) / group_;
 }
 
+bool EpochUnitProvider::replannable(std::size_t slot) const {
+  return suspect_ && group_ == 1 && seq_->unit_at(slot)->is_chunk;
+}
+
 std::vector<UnitExtent> EpochUnitProvider::unit_extents(
     std::size_t slot) const {
+  const auto suspect = [this](std::uint16_t nid) {
+    return suspect_ && suspect_(nid);
+  };
   std::vector<UnitExtent> out;
   const std::size_t begin = slot * group_;
   const std::size_t end =
@@ -170,7 +179,7 @@ std::vector<UnitExtent> EpochUnitProvider::unit_extents(
   out.reserve(end - begin);
   for (std::size_t s = begin; s < end; ++s) {
     const ReadUnit* u = seq_->unit_at(s);
-    if (u->is_chunk && (!live_ || live_(u->nid))) {
+    if (u->is_chunk && (!live_ || live_(u->nid)) && !suspect(u->nid)) {
       // Chunk units are keyed by the epoch slot and fetched whole even
       // when some of their samples are resident (the chunk path always
       // consumes the full unit).
@@ -178,8 +187,10 @@ std::vector<UnitExtent> EpochUnitProvider::unit_extents(
       continue;
     }
     if (u->is_chunk) {
-      // Home node down: every reachable sample reads from its first live
-      // copy, all at once, into the unit's one landing chunk.
+      // Home node down or suspect: every reachable sample reads from its
+      // first live (non-suspect, if any) copy, all at once, into the
+      // unit's one landing chunk.
+      const auto live = [this](const RouteHop& h) { return live_(h.nid); };
       for (const UnitSample& us : u->samples) {
         std::vector<RouteHop> hops{
             RouteHop{u->nid, u->offset + us.offset_in_unit}};
@@ -187,13 +198,18 @@ std::vector<UnitExtent> EpochUnitProvider::unit_extents(
           const auto r = routes_(us.sample_id);
           hops.insert(hops.end(), r.begin(), r.end());
         }
-        const auto first =
-            std::find_if(hops.begin(), hops.end(),
-                         [this](const RouteHop& h) { return live_(h.nid); });
+        auto first = std::find_if(
+            hops.begin(), hops.end(),
+            [&](const RouteHop& h) { return live(h) && !suspect(h.nid); });
+        if (first == hops.end()) {
+          first = std::find_if(hops.begin(), hops.end(), live);
+        }
         if (first == hops.end()) continue;  // no live copy: skipped
+        std::vector<RouteHop> rest(first + 1, hops.end());
+        // Suspect copies passed over stay as the last resorts.
+        std::copy_if(hops.begin(), first, std::back_inserter(rest), live);
         out.push_back(UnitExtent{first->nid, first->offset, us.len,
-                                 us.sample_id,
-                                 std::vector<RouteHop>(first + 1, hops.end()),
+                                 us.sample_id, std::move(rest),
                                  us.offset_in_unit});
       }
       continue;

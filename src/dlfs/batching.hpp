@@ -110,6 +110,12 @@ class ReadUnitProvider {
   /// may skip extents that are already resident elsewhere (sample cache).
   [[nodiscard]] virtual std::vector<UnitExtent> unit_extents(
       std::size_t slot) const = 0;
+  /// True when unit `slot` is read as route-less extents whose bytes also
+  /// live elsewhere, so a read stalled on a suspect node is worth
+  /// re-planning (a chunk unit whose samples have replicas).
+  [[nodiscard]] virtual bool replannable(std::size_t /*slot*/) const {
+    return false;
+  }
 };
 
 class SampleCache;
@@ -186,16 +192,22 @@ class EpochUnitProvider final : public ReadUnitProvider {
   /// whose home node is down is planned from replicas instead: one
   /// extent per reachable sample, starting at its first live copy, keyed
   /// by sample id and placed at its offset in the unit (unreachable
-  /// samples are left out, so the consumer skips them).
+  /// samples are left out, so the consumer skips them). `suspect`
+  /// (optional, with `routes`) answers "may this node be dead?": a
+  /// suspect home is planned around like a down one, and each sample
+  /// starts at its first live non-suspect copy — a suspect copy stays
+  /// its last resort, so suspicion never leaves a sample out.
   using NodeProbe = std::function<bool(std::uint16_t)>;
 
   EpochUnitProvider(const EpochSequence& seq, std::uint32_t group,
                     const SampleCache* cache, RouteResolver routes = {},
-                    PeerProbe peers = {}, NodeProbe live = {});
+                    PeerProbe peers = {}, NodeProbe live = {},
+                    NodeProbe suspect = {});
 
   [[nodiscard]] std::size_t num_units() const override;
   [[nodiscard]] std::vector<UnitExtent> unit_extents(
       std::size_t slot) const override;
+  [[nodiscard]] bool replannable(std::size_t slot) const override;
 
   /// The prefetch unit covering epoch slot `epoch_slot`.
   [[nodiscard]] std::size_t unit_of(std::size_t epoch_slot) const {
@@ -210,6 +222,7 @@ class EpochUnitProvider final : public ReadUnitProvider {
   RouteResolver routes_;      // may be null: no replication
   PeerProbe peers_;           // may be null: no peer cache
   NodeProbe live_;            // may be null: every node counts as up
+  NodeProbe suspect_;         // may be null: no node is suspect
 };
 
 /// Trivial provider over a precomputed extent list, one unit per extent

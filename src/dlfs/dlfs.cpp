@@ -1217,13 +1217,18 @@ void DlfsInstance::sequence(std::uint64_t seed) {
     };
   }
   // A chunk unit whose home node is down when it is issued is planned
-  // from replicas instead, and read ahead like any other unit.
+  // from replicas instead, and read ahead like any other unit; with
+  // replicas, so is one whose home the engine suspects (hedged failover).
   EpochUnitProvider::NodeProbe live;
-  if (chunk) live = [this](std::uint16_t nid) { return node_up(nid); };
+  EpochUnitProvider::NodeProbe suspect;
+  if (chunk) {
+    live = [this](std::uint16_t nid) { return node_up(nid); };
+    suspect = [this](std::uint16_t nid) { return engine_->suspect(nid); };
+  }
   epoch_provider_ = std::make_unique<EpochUnitProvider>(
       *seq_, fuse ? fleet_->config_.prefetch.group_samples : 1u,
       chunk ? nullptr : cache_.get(), std::move(routes), std::move(peers),
-      std::move(live));
+      std::move(live), std::move(suspect));
   prefetcher_->start_epoch(epoch_provider_.get());
 }
 

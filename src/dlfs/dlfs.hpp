@@ -246,6 +246,11 @@ struct InstanceStats {
   // spinning with nothing to harvest, and how many such waits ended.
   std::uint64_t poll_wait_ns = 0;
   std::uint64_t poll_wakeups = 0;
+  // Hedged failover: pieces re-posted to a replica while their first copy
+  // hung on a suspect node, and how many of those delivered first
+  // (hedges_won <= hedges_issued; zero without replication).
+  std::uint64_t hedges_issued = 0;
+  std::uint64_t hedges_won = 0;
   // Prefetcher counters: resident-at-pick / stall / window telemetry. In
   // synchronous mode every unit a bread issues counts, and the window
   // never grows.
@@ -371,6 +376,8 @@ class DlfsInstance {
     s.cross_core_handoffs = engine_->cross_core_handoffs();
     s.poll_wait_ns = engine_->poll_wait_ns();
     s.poll_wakeups = engine_->poll_wakeups();
+    s.hedges_issued = engine_->hedges_issued();
+    s.hedges_won = engine_->hedges_won();
     s.prefetch = prefetcher_->stats();
     s.nodes_declared_dead = nodes_declared_dead_;
     s.samples_rereplicated = samples_rereplicated_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/units.hpp"
@@ -64,6 +65,7 @@ dlsim::Task<void> IoEngine::probe_loop(std::shared_ptr<bool> alive) {
 void IoEngine::attach_target(std::uint16_t nid,
                              std::unique_ptr<spdk::IoQueue> queue) {
   if (targets_.size() <= nid) targets_.resize(nid + 1);
+  if (health_.size() <= nid) health_.resize(nid + 1);
   queue->set_doorbell(&bell_, kWorkLine);
   targets_[nid] = std::move(queue);
 }
@@ -152,14 +154,16 @@ dlsim::Task<void> IoEngine::run_copy_inline(dlsim::CpuCore& core,
 }
 
 dlsim::Task<bool> IoEngine::wait_any(dlsim::CpuCore& core,
-                                     std::uint64_t since, Blocked blocked) {
+                                     std::uint64_t since, Blocked blocked,
+                                     std::optional<dlsim::SimTime> hedge_at) {
   // Busy-polling: all waiting time is CPU time (SPDK semantics), but the
   // spin is charged, not simulated. Its first step jumps straight to the
   // earliest known event when every outstanding queue announces its
   // completions (local devices), and is one poll quantum otherwise; after
   // that it alternates a post look and, poll_iteration x polled queues
   // later, a poll look. The pumper sleeps until the first look that can
-  // see something new: a known completion, retry or deadline, or a ring.
+  // see something new: a known completion, retry, deadline or hedge due
+  // time, or a ring.
   const dlsim::SimTime now = sim_->now();
   std::uint64_t polled = 0;
   bool unannounced = false;  // some queue's completions arrive as rings
@@ -195,6 +199,8 @@ dlsim::Task<bool> IoEngine::wait_any(dlsim::CpuCore& core,
   if (due) look_by(grid.first_post_at_or_after(*due));
   if (landing) look_by(grid.round_polling_at_or_after(*landing));
   if (deadline) look_by(grid.round_polling_at_or_after(*deadline));
+  // A node turning suspect is seen, and hedged around, by a post look.
+  if (hedge_at) look_by(grid.first_post_at_or_after(*hedge_at));
   // Pool space and cache evictability are not announced: a pumper stuck
   // on the pool looks at every post look, as the spin did.
   if (blocked == Blocked::kPool) look_by(0);
@@ -245,6 +251,7 @@ void IoEngine::mark_node_down(std::uint16_t nid) {
   if (node_down_.size() <= nid) node_down_.resize(nid + 1, 0);
   if (node_down_[nid] != 0) return;
   node_down_[nid] = 1;
+  if (nid < health_.size()) health_[nid].suspect = false;  // down, not slow
   work_changed();
   if (probe_wake_) probe_wake_->set();
   if (node_handler_) node_handler_(nid, false);
@@ -262,6 +269,116 @@ bool IoEngine::advance_route(ReadExtent& x) {
     }
   }
   return false;
+}
+
+bool IoEngine::divert_route(ReadExtent& x) {
+  const auto usable = [this](const RouteHop& h) {
+    return h.nid < targets_.size() && targets_[h.nid] != nullptr &&
+           node_available(h.nid) && !suspect(h.nid);
+  };
+  const auto it = std::find_if(x.routes.begin(), x.routes.end(), usable);
+  if (it == x.routes.end()) return false;
+  const RouteHop left{x.nid, x.offset};
+  x.nid = it->nid;
+  x.offset = it->offset;
+  x.routes.erase(it);
+  x.routes.push_back(left);  // suspicion reorders routes, never drops one
+  return true;
+}
+
+void IoEngine::note_success(std::uint16_t nid, dlsim::SimDuration latency) {
+  NodeHealth& h = health_[nid];
+  h.suspect = false;
+  h.latency.add(static_cast<double>(latency));
+  if (h.latency.total() < kHedgeMinSamples) return;
+  const double tail = h.latency.quantile_bound(0.99);
+  if (tail == std::numeric_limits<double>::infinity()) {
+    h.hedge_delay.reset();
+  } else {
+    h.hedge_delay = static_cast<dlsim::SimDuration>(kHedgeFactor * tail);
+  }
+}
+
+void IoEngine::resolve_suspicion(std::uint16_t nid) {
+  if (!suspect(nid)) return;
+  const spdk::IoQueue& q = *targets_[nid];
+  if (q.failed()) {
+    // Hedging stopped posting to the node, so no command of ours may be
+    // left to bring word that its path died: the queue says so itself.
+    mark_node_down(nid);
+  } else if (q.connected() && q.outstanding() == 0) {
+    // Nothing of ours is stuck there and the path answers (it reconnected).
+    health_[nid].suspect = false;
+  }
+}
+
+void IoEngine::note_overdue() {
+  if (!hedging_) return;
+  const dlsim::SimTime now = sim_->now();
+  dlsim::AccessSlice slice{pieces_ledger_, /*write=*/false};
+  for (const auto& [tag, p] : in_flight_) {
+    NodeHealth& h = health_[p.nid];
+    if (!h.suspect && h.hedge_delay && node_available(p.nid) &&
+        now - p.posted_at >= *h.hedge_delay) {
+      h.suspect = true;
+    }
+  }
+}
+
+void IoEngine::hedge(const ExtentOp& until) {
+  // A borrowed DMA target cannot take a second writer, and a write has
+  // one placement: neither is hedged.
+  if (until.error_ || !until.extent.dma_target.empty() ||
+      until.extent.write) {
+    return;
+  }
+  std::vector<std::uint64_t> tags;
+  for (const auto& [tag, p] : in_flight_) {
+    if (p.op.get() == &until && !p.hedged && suspect(p.nid) &&
+        !until.landed_[p.idx]) {
+      tags.push_back(tag);
+    }
+  }
+  std::sort(tags.begin(), tags.end());  // oldest first, run to run
+  for (const std::uint64_t tag : tags) {
+    Piece& p = in_flight_.at(tag);
+    ReadExtent& x = p.op->extent;
+    // Move the extent off the suspect node, or follow it if a sibling
+    // already moved it somewhere healthy.
+    if (x.nid == p.nid && !divert_route(x)) return;
+    if (!node_available(x.nid) || suspect(x.nid)) return;
+    p.hedged = true;
+    Piece copy{p.op, p.idx, 0, p.len, mem::DmaBuffer{}};
+    copy.hedge = true;
+    to_post_.push_front(std::move(copy));
+    ++hedges_issued_;
+    work_changed();
+  }
+}
+
+std::optional<dlsim::SimTime> IoEngine::hedge_due(const ExtentOp& until,
+                                                  bool yield) const {
+  if (!hedging_ || until.finished_) return std::nullopt;
+  if (!yield && (until.extent.routes.empty() ||
+                 !until.extent.dma_target.empty())) {
+    return std::nullopt;  // nothing a suspect node could move
+  }
+  dlsim::AccessSlice slice{pieces_ledger_, /*write=*/false};
+  std::vector<std::uint16_t> nodes;  // where `until` waits, unsuspected
+  for (const auto& [tag, p] : in_flight_) {
+    if (p.op.get() == &until && !p.hedged && !suspect(p.nid) &&
+        health_[p.nid].hedge_delay &&
+        std::find(nodes.begin(), nodes.end(), p.nid) == nodes.end()) {
+      nodes.push_back(p.nid);
+    }
+  }
+  std::optional<dlsim::SimTime> due;
+  for (const auto& [tag, p] : in_flight_) {
+    if (std::find(nodes.begin(), nodes.end(), p.nid) == nodes.end()) continue;
+    const dlsim::SimTime t = p.posted_at + *health_[p.nid].hedge_delay;
+    due = due ? std::min(*due, t) : t;
+  }
+  return due;
 }
 
 bool IoEngine::reroute_piece(Piece& p) {
@@ -339,6 +456,7 @@ ExtentOpPtr IoEngine::start_extent(ReadExtent x) {
                            std::to_string(x.nid));
   }
   dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
+  if (!x.routes.empty()) hedging_ = true;
   if (!node_available(x.nid) && !advance_route(x)) {
     // The node is known-down and no replica route survives: fail fast
     // instead of queueing pieces that would only burn a timeout each.
@@ -366,6 +484,7 @@ ExtentOpPtr IoEngine::start_extent(ReadExtent x) {
   op->pieces_total_ = idx;
   if (op->extent.dma_target.empty()) op->buffers_.resize(idx);
   op->lens_.resize(idx);
+  op->landed_.resize(idx);
   if (idx == 0) {  // zero-length extent: trivially done
     op->finished_ = true;
     op->done.set();
@@ -401,6 +520,7 @@ ExtentOpPtr IoEngine::start_write(std::uint16_t nid, std::uint64_t offset,
   op->pieces_total_ = static_cast<std::uint32_t>(pieces.size());
   op->buffers_.resize(pieces.size());
   op->lens_ = lens;
+  op->landed_.resize(pieces.size());
   std::uint64_t off = offset;
   for (std::uint32_t i = 0; i < pieces.size(); ++i) {
     to_post_.push_back(Piece{op, i, off, lens[i], std::move(pieces[i])});
@@ -437,16 +557,21 @@ dlsim::Task<void> IoEngine::finish_extent(dlsim::CpuCore& core,
   }
 }
 
-dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
-                                 dlsim::SimDuration injected_compute) {
+dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp* until,
+                                 dlsim::SimDuration injected_compute,
+                                 Until mode) {
   bool injected_done = injected_compute == 0;
   // The pump serves the whole engine, not just `until`: any queued or
   // in-flight piece (another bread's demand fetch, a prefetched unit) is
   // posted and harvested by whichever coroutine is pumping. We stop as
   // soon as `until` has all its pieces (its copy, if any, is awaited by
-  // the caller through the op event).
+  // the caller through the op event). A yielding caller also stops once
+  // the op's node is suspect, to re-plan the read around it; a settling
+  // one has no op and stops once hedging has nothing left in the air.
   auto satisfied = [&] {
-    return until.finished_ || until.pieces_done_ == until.pieces_total_;
+    if (mode == Until::kSettled) return !unsettled();
+    return until->finished_ || until->pieces_done_ == until->pieces_total_ ||
+           (mode == Until::kSuspect && suspect(until->extent.nid));
   };
   // What the last post look stopped on, and the doorbell stamp taken as
   // it started. A wait that resumes at a poll look spun through the post
@@ -461,6 +586,11 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
       since = bell_.stamp();
       blocked = Blocked::kNothing;
       promote_delayed();  // backed-off retries whose delay has elapsed
+      note_overdue();
+      if (hedging_ && until != nullptr) {
+        dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
+        hedge(*until);
+      }
 
       // Post while targets have queue space and the pool has chunks. The
       // sample cache shares the pool: under pressure it yields LRU entries,
@@ -475,8 +605,10 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
           // Suspension-free slice: claim (or reject) the head piece before
           // the prep/post compute charge suspends this pumper.
           dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
-          if (to_post_.front().op->error_) {
-            // The extent already failed; drop its remaining queued pieces.
+          if (to_post_.front().op->error_ ||
+              to_post_.front().op->landed_[to_post_.front().idx]) {
+            // The extent already failed, or a hedge race already delivered
+            // this piece: drop it.
             to_post_.pop_front();
             work_changed();
             progress = true;
@@ -497,6 +629,11 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
               progress = true;
               continue;
             }
+          }
+          // A suspect node may be dead: while the extent has a live
+          // alternate, new pieces go there instead.
+          if (suspect(nid) && divert_route(to_post_.front().op->extent)) {
+            nid = to_post_.front().op->extent.nid;
           }
           q = targets_[nid].get();
           if (q->outstanding() >= q->admission_depth()) {
@@ -601,6 +738,7 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
           throw std::runtime_error("unexpected submit failure in pump");
         }
         ++posted_;
+        p.posted_at = sim_->now();
         {
           dlsim::AccessSlice slice{pieces_ledger_, /*write=*/true};
           in_flight_.emplace(tag, std::move(p));
@@ -619,10 +757,14 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
         co_await core.compute(cal_->dlfs.poll_iteration * polled);
       }
     }  // post look
-    for (const auto& target : targets_) {
+    for (std::uint16_t nid = 0; nid < targets_.size(); ++nid) {
+      spdk::IoQueue* const target = targets_[nid].get();
       if (!target) continue;
       const std::vector<spdk::IoCompletion> comps = target->poll();
-      if (comps.empty()) continue;
+      if (comps.empty()) {
+        resolve_suspicion(nid);
+        continue;
+      }
       // Batched completion drain: every piece this poll harvested is
       // claimed under ONE ledger acquisition (the real SCQ is drained
       // with one lock hold, not one per completion), and the handling
@@ -648,6 +790,21 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
         // status — a retry re-admits when it is re-posted.
         if (tenant_) tenant_->on_complete(p.len);
         if (p.op->error_) continue;  // failed extent: buffer just drops
+        if (p.op->landed_[p.idx] ||
+            (p.hedged && c.status != spdk::IoStatus::kOk)) {
+          // A hedge race's loser: the other copy delivered this piece or
+          // still carries it. Its chunk drops here, with its own
+          // completion; it is neither harvested nor retried, but what it
+          // saw of its node still counts.
+          if (c.status == spdk::IoStatus::kOk) {
+            note_success(p.nid, sim_->now() - p.posted_at);
+          } else if (c.status == spdk::IoStatus::kTimeout) {
+            ++timeouts_;
+          } else if (c.status == spdk::IoStatus::kConnectionLost) {
+            mark_node_down(p.nid);
+          }
+          continue;
+        }
         if (c.status == spdk::IoStatus::kConnectionLost) {
           // Transport gave up on the node. Re-route the piece to a
           // surviving replica in place; queued siblings follow the
@@ -692,15 +849,19 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
           continue;
         }
         ++harvested_;
+        note_success(p.nid, sim_->now() - p.posted_at);
+        if (p.hedge) ++hedges_won_;
         ExtentOp& op = *p.op;
         if (p.buffer.valid()) op.buffers_[p.idx] = std::move(p.buffer);
         op.lens_[p.idx] = p.len;
+        op.landed_[p.idx] = true;
         if (++op.pieces_done_ == op.pieces_total_) {
           work_changed();
           co_await finish_extent(core, p.op);
         }
       }
       work_changed();
+      resolve_suspicion(nid);
     }
 
     // Fig. 7b: application compute folded into this batch's polling loop,
@@ -714,15 +875,40 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp& until,
     }
 
     if (!progress && !satisfied()) {
-      at_poll_look = co_await wait_any(core, since, blocked);
+      // Hoisted out of the co_await expression (GCC 12 miscompiles a
+      // conditional there).
+      std::optional<dlsim::SimTime> hedge_at;
+      if (until != nullptr) {
+        hedge_at = hedge_due(*until, mode == Until::kSuspect);
+      }
+      at_poll_look = co_await wait_any(core, since, blocked, hedge_at);
     }
   }
 }
 
 dlsim::Task<void> IoEngine::await_op(dlsim::CpuCore& core, ExtentOpPtr op,
-                                     dlsim::SimDuration injected_compute) {
-  co_await pump(core, *op, injected_compute);
+                                     dlsim::SimDuration injected_compute,
+                                     bool yield_if_suspect) {
+  if (yield_if_suspect) hedging_ = true;
+  co_await pump(core, op.get(), injected_compute,
+                yield_if_suspect ? Until::kSuspect : Until::kDelivered);
+  if (op->pieces_done_ < op->pieces_total_) co_return;  // yielded
   if (!op->finished_) co_await op->done.wait();  // copy stage completing
+}
+
+bool IoEngine::unsettled() const {
+  if (hedges_issued_ == 0) return false;
+  for (const NodeHealth& h : health_) {
+    if (h.suspect) return true;
+  }
+  dlsim::AccessSlice slice{pieces_ledger_, /*write=*/false};
+  return std::any_of(in_flight_.begin(), in_flight_.end(), [](const auto& e) {
+    return e.second.op->landed_[e.second.idx];
+  });
+}
+
+dlsim::Task<void> IoEngine::settle(dlsim::CpuCore& core) {
+  return pump(core, nullptr, 0, Until::kSettled);
 }
 
 dlsim::Task<void> IoEngine::read_one(dlsim::CpuCore& core, std::uint16_t nid,

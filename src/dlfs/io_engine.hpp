@@ -40,6 +40,20 @@
 // experiment — how much application compute can be folded into the
 // polling loop — is the `injected_compute` hook, executed once per read
 // batch.
+//
+// Hedged failover ("hedged requests", Dean & Barroso, The Tail at Scale):
+// a node is *suspect* while one of its pieces has been outstanding past
+// its hedge delay — kHedgeFactor times the p99 bucket of the completion
+// latencies observed on its queue — until a successful completion from
+// it. A piece whose extent has a live alternate then stops waiting for
+// failure detection: a new piece routed to a suspect node posts to the
+// first live non-suspect alternate instead, and a piece of the op a
+// pumper awaits that is already in flight there is re-posted to that
+// alternate (a hedge); the first completion wins. The loser keeps its own
+// chunk until its own completion or timeout arrives and is neither
+// harvested nor retried. Suspicion only reorders routes: the suspect copy
+// stays the last resort, and the original command still times out and
+// drives reconnect, node-down and repair as without hedging.
 
 #include <cstdint>
 #include <deque>
@@ -51,6 +65,7 @@
 #include <vector>
 
 #include "common/calibration.hpp"
+#include "common/stats.hpp"
 #include "dlfs/qos.hpp"
 #include "dlfs/sample_cache.hpp"
 #include "dlfs/sample_entry.hpp"
@@ -171,6 +186,9 @@ class ExtentOp {
   std::uint32_t pieces_done_ = 0;
   std::vector<mem::DmaBuffer> buffers_;  // placed by piece index
   std::vector<std::uint32_t> lens_;
+  // Piece indices already delivered: with a hedge in flight, a second
+  // completion of the same piece is the loser's.
+  std::vector<bool> landed_;
 };
 
 using ExtentOpPtr = std::shared_ptr<ExtentOp>;
@@ -230,10 +248,13 @@ class IoEngine {
   /// Drives the shared pump on `core` until `op` completes (data
   /// delivered or failed). Extent failures are recorded on the op, not
   /// thrown; pool livelock (exhausted + nothing evictable + nothing in
-  /// flight) still throws.
+  /// flight) still throws. With `yield_if_suspect`, it also returns,
+  /// unfinished, once the op's node is suspect: the caller re-plans the
+  /// read around that node (a chunk read whose samples have replicas
+  /// elsewhere).
   [[nodiscard]] dlsim::Task<void> await_op(
       dlsim::CpuCore& core, ExtentOpPtr op,
-      dlsim::SimDuration injected_compute = 0);
+      dlsim::SimDuration injected_compute = 0, bool yield_if_suspect = false);
 
   /// Convenience: one extent, synchronously (the dlfs_read fast path —
   /// "DLFS-Base" when used for every sample). Rethrows the extent's
@@ -294,6 +315,20 @@ class IoEngine {
     return nid >= node_down_.size() || node_down_[nid] == 0;
   }
   [[nodiscard]] std::uint32_t nodes_down() const;
+  /// Hedged failover (see the header comment): true while one of the
+  /// node's pieces is overdue and nothing has completed from it since.
+  /// Only tracked once some read could act on it (a routed extent, or a
+  /// caller that re-plans), so a run without alternates never suspects.
+  [[nodiscard]] bool suspect(std::uint16_t nid) const {
+    return nid < health_.size() && health_[nid].suspect;
+  }
+  /// Hedging left work nobody awaits: a suspect node not yet resolved
+  /// (marked down, or answering again), or a loser still in flight.
+  [[nodiscard]] bool unsettled() const;
+  /// Pumps on `core` until !unsettled(). Losers are harvested and failure
+  /// detection runs its course only while some core pumps, so the
+  /// prefetch daemon calls this when it has nothing else to drive.
+  [[nodiscard]] dlsim::Task<void> settle(dlsim::CpuCore& core);
   /// One revalidation pass over every down node (paced by the caller —
   /// DLFS runs it at epoch start). Returns how many nodes came back.
   [[nodiscard]] dlsim::Task<std::uint32_t> reprobe_down_nodes(
@@ -307,6 +342,11 @@ class IoEngine {
     return harvested_;
   }
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
+  /// Pieces re-posted to an alternate while their first copy was still in
+  /// flight on a suspect node, and how many of those delivered first.
+  /// hedges_won() <= hedges_issued().
+  [[nodiscard]] std::uint64_t hedges_issued() const { return hedges_issued_; }
+  [[nodiscard]] std::uint64_t hedges_won() const { return hedges_won_; }
   [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
   [[nodiscard]] std::uint64_t bytes_copied() const { return bytes_copied_; }
   /// Aggregate busy time of the copy-thread pool.
@@ -343,6 +383,11 @@ class IoEngine {
   // First-retry delay; doubles per attempt. Keeps a faulting device from
   // being hammered with re-posts within the same poll quantum.
   static constexpr dlsim::SimDuration kRetryBackoff = 10'000;  // 10 us
+  // Hedge delay: this multiple of the p99 bucket bound of a queue's
+  // observed completion latencies, once it has kHedgeMinSamples of them
+  // (before that, nothing on the queue counts as overdue).
+  static constexpr double kHedgeFactor = 4.0;
+  static constexpr std::uint64_t kHedgeMinSamples = 4;
 
   struct Piece {
     ExtentOpPtr op;
@@ -357,6 +402,17 @@ class IoEngine {
     // compares p.nid against op->extent.nid to tell "my route died" from
     // "the op already moved on — just follow it".
     std::uint16_t nid = 0;
+    dlsim::SimTime posted_at = 0;
+    bool hedge = false;   // a second copy, posted while the first hung
+    bool hedged = false;  // in flight, with a hedge posted elsewhere
+  };
+
+  // What the engine has observed of one target, for hedging.
+  struct NodeHealth {
+    // Post-to-harvest latency of successful completions, in ns.
+    Histogram latency = Histogram::pow2(1'024.0, 134'217'728.0);
+    std::optional<dlsim::SimDuration> hedge_delay;  // set once trusted
+    bool suspect = false;
   };
 
   void mark_node_down(std::uint16_t nid);
@@ -369,10 +425,32 @@ class IoEngine {
   /// retry budget. False = no route left, the caller fails the op. Must
   /// run inside a pieces_ledger_ write slice.
   bool reroute_piece(Piece& p);
+  /// Re-points `x` at its first live non-suspect alternate; the node left
+  /// goes to the back of the routes, a last resort. False when there is
+  /// none.
+  bool divert_route(ReadExtent& x);
+  /// Flags every node with a piece outstanding past its hedge delay.
+  void note_overdue();
+  /// Re-posts `until`'s pieces in flight on suspect nodes to a live
+  /// non-suspect alternate. Must run inside a pieces_ledger_ write slice.
+  void hedge(const ExtentOp& until);
+  /// When the next node `until` sits on turns suspect, if any could: the
+  /// wait_any wake-up that lets hedging (or the caller's re-plan) start.
+  [[nodiscard]] std::optional<dlsim::SimTime> hedge_due(const ExtentOp& until,
+                                                        bool yield) const;
+  /// A successful completion after `latency`: feeds the node's hedge
+  /// delay and clears its suspicion.
+  void note_success(std::uint16_t nid, dlsim::SimDuration latency);
   dlsim::Task<void> probe_loop(std::shared_ptr<bool> alive);
   void promote_delayed();
-  dlsim::Task<void> pump(dlsim::CpuCore& core, const ExtentOp& until,
-                         dlsim::SimDuration injected_compute);
+  // What a pump waits for: `until` delivered; delivered or its node
+  // suspect; or (no op) hedging settled, see settle().
+  enum class Until : std::uint8_t { kDelivered, kSuspect, kSettled };
+  dlsim::Task<void> pump(dlsim::CpuCore& core, const ExtentOp* until,
+                         dlsim::SimDuration injected_compute, Until mode);
+  /// Poll-phase verdict on a suspect node: down if its queue failed, no
+  /// longer suspect if its path answers with nothing of ours stuck there.
+  void resolve_suspicion(std::uint16_t nid);
   dlsim::Task<void> finish_extent(dlsim::CpuCore& core, ExtentOpPtr op);
   static void fail_op(ExtentOp& op, std::exception_ptr e);
   dlsim::Task<void> copy_thread_loop(std::size_t idx);
@@ -381,7 +459,8 @@ class IoEngine {
   /// can see something new; true when that is a poll look. `since` is the
   /// doorbell stamp from the start of the last post look.
   dlsim::Task<bool> wait_any(dlsim::CpuCore& core, std::uint64_t since,
-                             Blocked blocked);
+                             Blocked blocked,
+                             std::optional<dlsim::SimTime> hedge_at);
   /// Rings the work line: pumpers read what was just changed.
   void work_changed() { bell_.ring(kWorkLine); }
 
@@ -421,11 +500,17 @@ class IoEngine {
   std::shared_ptr<TenantHandle> tenant_;  // null = ungoverned
   std::uint64_t qos_deferrals_ = 0;
   std::vector<std::uint8_t> node_down_;  // index = nid; 1 = unavailable
+  std::vector<NodeHealth> health_;       // index = nid
+  // Some read could act on suspicion (an extent with routes, or a caller
+  // that re-plans): until then no node is ever suspected.
+  bool hedging_ = false;
   std::function<void(std::uint16_t, bool)> node_handler_;
   std::uint64_t posted_ = 0;
   std::uint64_t harvested_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t timeouts_ = 0;
+  std::uint64_t hedges_issued_ = 0;
+  std::uint64_t hedges_won_ = 0;
   std::uint64_t bytes_copied_ = 0;
   dlsim::SimDuration poll_wait_ns_ = 0;
   std::uint64_t poll_wakeups_ = 0;

@@ -266,10 +266,40 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
   }
   if (!ops.empty()) {
     const dlsim::SimTime t0 = sim_->now();
-    for (const auto& op : ops) {
-      if (op->finished()) continue;
-      co_await engine_->await_op(consumer_core, op,
-                                 std::exchange(fold_ns_, 0));
+    // A unit whose bytes also live elsewhere does not wait for failure
+    // detection on a suspect home: it is re-planned from the replicas.
+    bool yield = provider_->replannable(slot);
+    for (;;) {
+      bool stuck = false;  // yielded: an extent sits on a suspect node
+      for (const auto& op : ops) {
+        if (op->finished()) continue;
+        if (!yield || !engine_->suspect(op->extent.nid)) {
+          co_await engine_->await_op(consumer_core, op,
+                                     std::exchange(fold_ns_, 0), yield);
+        }
+        if (!op->finished()) {
+          stuck = true;
+          break;
+        }
+      }
+      if (!stuck) break;
+      {
+        // The stuck extents drain off to the side with their chunks; the
+        // re-planned unit takes the slot.
+        auto w = window_.write();
+        auto it = find_entry(*w);
+        drain(std::move(*it));
+        w->erase(it);
+      }
+      replan(slot);
+      yield = false;
+      {
+        auto w = window_.write();
+        auto it = find_entry(*w);
+        it->pinned = true;
+        ops.clear();
+        for (const auto& x : it->extents) ops.push_back(x.op);
+      }
     }
     stats_.stall_ns += sim_->now() - t0;
   }
@@ -289,7 +319,14 @@ dlsim::Task<AcquiredUnit> Prefetcher::acquire(
     unit.landing = std::move(it->landing);
     w->erase(it);
   }
-  wake_.set();  // window space freed; the daemon can read further ahead
+  // Window space freed: the daemon can read further ahead — unless it is
+  // pumping a read stuck on a suspect node, or settling hedges, until
+  // failure detection ends it; then the consumer tops the window up.
+  if (daemon_settling_ ||
+      (daemon_op_ && engine_->suspect(daemon_op_->extent.nid))) {
+    top_up();
+  }
+  wake_.set();
   co_return unit;
 }
 
@@ -319,8 +356,16 @@ dlsim::Task<void> Prefetcher::daemon_loop() {
     try {
       top_up();
       if (ExtentOpPtr op = oldest_unfinished()) {
+        daemon_op_ = op;
         co_await engine_->await_op(*core_, op);
+        daemon_op_ = nullptr;
         for (Entry& e : std::exchange(draining_, {})) drain(std::move(e));
+        continue;
+      }
+      if (engine_->unsettled()) {
+        daemon_settling_ = true;
+        co_await engine_->settle(*core_);
+        daemon_settling_ = false;
         continue;
       }
     } catch (...) {

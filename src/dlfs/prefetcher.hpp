@@ -52,7 +52,11 @@
 // just the affected samples, after one replan() around the down node).
 // A chunk unit whose home node is already down at issue time is planned
 // from replicas by the provider and lands in one pool chunk the window
-// entry owns, so the consumer reads it like any resident unit.
+// entry owns, so the consumer reads it like any resident unit. Hedged
+// failover: a consumer stalled on a replannable unit whose home turns
+// suspect (IoEngine::suspect) does not wait for failure detection — the
+// unit is re-planned from the replicas at once, its stuck extents
+// draining off to the side.
 
 #include <cstdint>
 #include <deque>
@@ -248,6 +252,8 @@ class Prefetcher {
   std::uint32_t window_target_;
   PrefetchStats stats_;
   std::exception_ptr daemon_error_{};
+  ExtentOpPtr daemon_op_{};  // the read the daemon is pumping until done
+  bool daemon_settling_ = false;  // the daemon pumps IoEngine::settle()
   bool shutdown_ = false;
 };
 

@@ -105,6 +105,12 @@ class IoQueue {
   /// once its reconnect budget is exhausted.
   [[nodiscard]] virtual bool connected() const { return true; }
 
+  /// Whether the path is gone for good — the reconnect budget is spent or
+  /// the local controller died — so submit() returns kConnectionLost. A
+  /// caller that stopped posting to a node can learn of its death here
+  /// without a command to carry the news.
+  [[nodiscard]] virtual bool failed() const { return false; }
+
   /// One explicit revalidation attempt for a queue whose path died (no
   /// backoff, no budget — the caller paces these, e.g. once per epoch).
   /// Returns true when the queue is usable again.

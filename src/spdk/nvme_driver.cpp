@@ -38,6 +38,7 @@ class LocalIoQueue final : public IoQueue {
   }
 
   bool connected() const override { return !qp_->device().crashed(); }
+  bool failed() const override { return qp_->device().crashed(); }
 
   void set_doorbell(dlsim::Doorbell* bell,
                     dlsim::Doorbell::Lines lines) override {

@@ -142,6 +142,7 @@ class RemoteIoQueue final : public IoQueue {
     return depth_;
   }
   bool connected() const override { return state_ == ConnState::kConnected; }
+  bool failed() const override { return state_ == ConnState::kDead; }
   IoQueueStats transport_stats() const override { return stats_; }
 
   std::optional<dlsim::SimTime> next_timeout_at() const override {

@@ -378,6 +378,52 @@ TEST(Prefetcher, CoLocatedReadAheadBoundedByOwnPool) {
   EXPECT_EQ(all.size(), 256u);
 }
 
+TEST(Prefetcher, DeepQueuesWithoutReplicasNeverHedgeOrReplan) {
+  // Replication 1 with deep device queues, large-remote's shape: four
+  // storage nodes, 128 KiB samples and two clients reading ahead. Pieces
+  // wait long in the device queues, but with no other copy to go to no
+  // node is ever suspected: nothing is skipped, hedged, or planned around
+  // a node, in either batching mode.
+  for (const BatchingMode mode :
+       {BatchingMode::kSampleLevel, BatchingMode::kChunkLevel}) {
+    DlfsConfig cfg;
+    cfg.batching = mode;
+    cfg.pool_bytes = 24_MiB;
+    cfg.cache_chunks = 64;
+    if (mode == BatchingMode::kSampleLevel) cfg.chunk_bytes = 128_KiB;
+    Rig rig(dlfs::dataset::make_fixed_size_dataset(512, 128_KiB), cfg, 6,
+            {4, 5}, {0, 1, 2, 3});
+    rig.mount();
+    std::vector<std::size_t> served(2, 0);
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      DlfsInstance& inst = rig.fleet.instance(c);
+      inst.sequence(1);
+      rig.sim.spawn(
+          [](Rig& r, DlfsInstance& inst, std::size_t& n) -> Task<void> {
+            std::vector<std::byte> arena(2 * r.ds.max_sample_bytes());
+            for (;;) {
+              auto b = co_await inst.bread(2, arena);
+              if (b.end_of_epoch) break;
+              n += b.samples.size();
+            }
+          }(rig, inst, served[c]),
+          "deep-queue-reader");
+    }
+    rig.sim.run();
+    rig.sim.rethrow_failures();
+    EXPECT_EQ(served[0] + served[1], 512u);
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      const auto st = rig.fleet.instance(c).stats();
+      EXPECT_EQ(st.samples_skipped, 0u);
+      EXPECT_EQ(st.hedges_issued, 0u);
+      EXPECT_EQ(st.prefetch.units_replanned, 0u);
+      for (std::uint16_t nid = 0; nid < 4; ++nid) {
+        EXPECT_FALSE(rig.fleet.instance(c).engine().suspect(nid));
+      }
+    }
+  }
+}
+
 TEST(Prefetcher, SampleLevelDegradedEpochSkipsThenReissuesAfterRecovery) {
   // kSampleLevel over NVMe-oF: a storage node crashes mid-epoch, the
   // epoch completes degraded (every sample either served or skipped, the
