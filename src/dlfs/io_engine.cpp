@@ -271,6 +271,17 @@ bool IoEngine::advance_route(ReadExtent& x) {
   return false;
 }
 
+bool IoEngine::room_elsewhere(std::uint16_t nid) const {
+  for (std::uint16_t n = 0; n < targets_.size(); ++n) {
+    const spdk::IoQueue* q = targets_[n].get();
+    if (n != nid && q != nullptr && node_available(n) &&
+        q->outstanding() < q->admission_depth()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool IoEngine::divert_route(ReadExtent& x) {
   const auto usable = [this](const RouteHop& h) {
     return h.nid < targets_.size() && targets_[h.nid] != nullptr &&
@@ -640,8 +651,14 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp* until,
             // A full queue — healthy at its depth, or degraded at its
             // reconnect admission cap — must not head-block work for other
             // nodes: the piece steps aside to the back (pieces keep their
-            // cyclic order) and posting goes on. One full pass without a
-            // post means everything left is capped — stop then.
+            // cyclic order) and posting goes on. A healthy queue frees its
+            // slots through the poll phase below, so when no other live
+            // queue has room either, stop at once; one full pass without a
+            // post means everything left is capped — stop then too.
+            if (q->connected() && q->admission_depth() >= q->depth() &&
+                !room_elsewhere(nid)) {
+              break;
+            }
             if (rotated >= to_post_.size()) break;
             ++rotated;
             to_post_.push_back(std::move(to_post_.front()));

@@ -425,6 +425,8 @@ class IoEngine {
   /// retry budget. False = no route left, the caller fails the op. Must
   /// run inside a pieces_ledger_ write slice.
   bool reroute_piece(Piece& p);
+  /// Whether a live queue other than `nid`'s can take a post right now.
+  [[nodiscard]] bool room_elsewhere(std::uint16_t nid) const;
   /// Re-points `x` at its first live non-suspect alternate; the node left
   /// goes to the back of the routes, a last resort. False when there is
   /// none.
