@@ -350,7 +350,9 @@ void IoEngine::hedge(const ExtentOp& until) {
       tags.push_back(tag);
     }
   }
-  std::sort(tags.begin(), tags.end());  // oldest first, run to run
+  // Newest first, each to the front of the posting queue: the copies then
+  // post oldest first, the same way on every run.
+  std::sort(tags.begin(), tags.end(), std::greater<>());
   for (const std::uint64_t tag : tags) {
     Piece& p = in_flight_.at(tag);
     ReadExtent& x = p.op->extent;
@@ -657,6 +659,12 @@ dlsim::Task<void> IoEngine::pump(dlsim::CpuCore& core, const ExtentOp* until,
             // post means everything left is capped — stop then too.
             if (q->connected() && q->admission_depth() >= q->depth() &&
                 !room_elsewhere(nid)) {
+              // Leave the queue as the rest of the pass would have.
+              const std::size_t k =
+                  rotated < to_post_.size() ? to_post_.size() - rotated : 0;
+              std::rotate(to_post_.begin(),
+                          to_post_.begin() + static_cast<std::ptrdiff_t>(k),
+                          to_post_.end());
               break;
             }
             if (rotated >= to_post_.size()) break;
